@@ -310,7 +310,8 @@ def cmd_compare(args) -> int:
             n, d = int(n_val), int(d_val)
             a2, _ = perms.max_binary_code(n - q, d // 2)
             _, _, ratio = bounds.ratio_amds_old(q, alpha, b, a2)
-        except PermcodesError:
+        except PermcodesError as exc:
+            print(f"dropped q={q}: {exc}", file=sys.stderr)
             continue
         rows.append(
             [str(q), str(n), str(d), str(a2), format_sig6(ratio), str(ratio), threshold]

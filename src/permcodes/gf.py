@@ -4,7 +4,8 @@ Elements of GF(p^m) are encoded as integers 0..q-1: the base-p digits of the
 code, least significant first, are the coefficients of the representative
 polynomial (constant term first).  The canonical element order a_0, a_1, ...
 used everywhere else in the package is simply code order, so a_0 = 0 and
-a_1 = 1.
+a_1 = 1.  All arithmetic on codes goes through the lookup tables of
+FieldSpec.tables().
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import NotAPrimePower, ParameterError, SpecMismatch
+from .errors import NotAPrimePower, ParameterError
 
 
 def is_prime(n: int) -> bool:
@@ -144,11 +145,11 @@ def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
 
 
 class FieldSpec:
-    """A concrete GF(p^m) with a deterministic modulus and code-level ops.
+    """A concrete GF(p^m) with a deterministic modulus and lookup tables.
 
     The modulus is the lexicographically smallest (constant-first coefficient
     order) monic irreducible polynomial of degree m over GF(p); for m = 1 it
-    is x itself, stored as (0, 1).
+    is x itself, stored as (0, 1).  All arithmetic goes through tables().
     """
 
     __slots__ = ("p", "m", "q", "modulus", "_add", "_mul", "_neg", "_inv")
@@ -163,90 +164,59 @@ class FieldSpec:
         self._neg = None
         self._inv = None
 
-    # -- encoding -----------------------------------------------------------
+    def _primitive_powers(self) -> list[int]:
+        """g^0, ..., g^(q-2) for the smallest primitive element g in code order."""
+        p, q = self.p, self.q
 
-    def _digits(self, code: int) -> tuple[int, ...]:
-        p = self.p
-        out = []
-        for _ in range(self.m):
-            out.append(code % p)
-            code //= p
-        return tuple(out)
+        def digits(code: int) -> tuple[int, ...]:
+            return tuple(code // p**i % p for i in range(self.m))
 
-    def _encode(self, poly: tuple[int, ...]) -> int:
-        code = 0
-        for c in reversed(poly):
-            code = code * self.p + c
-        return code
-
-    # -- code-level arithmetic ----------------------------------------------
-
-    def add_code(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a + b) % self.p
-        p = self.p
-        da, db = self._digits(a), self._digits(b)
-        return self._encode(tuple((x + y) % p for x, y in zip(da, db)))
-
-    def neg_code(self, a: int) -> int:
-        if self.m == 1:
-            return (-a) % self.p
-        p = self.p
-        return self._encode(tuple((-x) % p for x in self._digits(a)))
-
-    def sub_code(self, a: int, b: int) -> int:
-        return self.add_code(a, self.neg_code(b))
-
-    def mul_code(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a * b) % self.p
-        pa = _pstrip(self._digits(a))
-        pb = _pstrip(self._digits(b))
-        return self._encode(_pmod(_pmul(pa, pb, self.p), self.modulus, self.p))
-
-    def pow_code(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow_code(self.inv_code(a), -e)
-        out = 1
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul_code(out, base)
-            base = self.mul_code(base, base)
-            e >>= 1
-        return out
-
-    def inv_code(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self.pow_code(a, self.q - 2)
-
-    # -- tables and elements --------------------------------------------------
+        # g is primitive when its powers first return to 1 at g^(q-1); such a
+        # g exists exactly when the modulus is irreducible.
+        for g in range(1, q):
+            gpoly = digits(g)
+            powers = [1]
+            for _ in range(q - 1):
+                poly = _pmod(_pmul(digits(powers[-1]), gpoly, p), self.modulus, p)
+                x = sum(c * p**i for i, c in enumerate(poly))
+                if x == 1:
+                    if len(powers) == q - 1:
+                        return powers
+                    break
+                powers.append(x)
+        raise ParameterError(f"modulus {self.modulus} is reducible over GF({p})")
 
     def tables(self) -> tuple[list[list[int]], list[list[int]], list[int], list[int]]:
-        """(add, mul, neg, inv) lookup tables; built once, inv[0] is None."""
+        """(add, mul, neg, inv) lookup tables; built once, inv[0] is None.
+
+        add is built one base-p digit at a time, mul and inv from the
+        log/antilog tables of a primitive element, and neg[a] is the position
+        of 0 in row a of add.
+        """
         if self._add is None:
-            q = self.q
-            self._add = [[self.add_code(a, b) for b in range(q)] for a in range(q)]
-            self._mul = [[self.mul_code(a, b) for b in range(q)] for a in range(q)]
-            self._neg = [self.neg_code(a) for a in range(q)]
-            self._inv = [None] + [self.inv_code(a) for a in range(1, q)]
+            p, q = self.p, self.q
+            add = [[0]]
+            for j in range(self.m):
+                # extend GF(p)^j to GF(p)^(j+1): code = low + size * top digit
+                size = p**j
+                add = [
+                    [x + size * ((ah + bh) % p) for bh in range(p) for x in add[al]]
+                    for ah in range(p)
+                    for al in range(size)
+                ]
+            antilog = self._primitive_powers()
+            log = [0] * q
+            for i, a in enumerate(antilog):
+                log[a] = i
+            exp = antilog * 2
+            nonzero_logs = log[1:]
+            self._add = add
+            self._mul = [[0] * q] + [
+                [0] + [exp[log[a] + lb] for lb in nonzero_logs] for a in range(1, q)
+            ]
+            self._neg = [row.index(0) for row in add]
+            self._inv = [None] + [exp[q - 1 - log[a]] for a in range(1, q)]
         return self._add, self._mul, self._neg, self._inv
-
-    def element(self, code: int) -> FieldElement:
-        if not 0 <= code < self.q:
-            raise ParameterError(f"element code {code} out of range for GF({self.q})")
-        return FieldElement(self, code)
-
-    def zero(self) -> FieldElement:
-        return FieldElement(self, 0)
-
-    def one(self) -> FieldElement:
-        return FieldElement(self, 1)
-
-    def elements(self):
-        """All q elements in canonical (code) order."""
-        return [FieldElement(self, c) for c in range(self.q)]
 
     # -- identity ---------------------------------------------------------------
 
@@ -284,60 +254,3 @@ def field_make(q: int) -> FieldSpec:
     spec = FieldSpec(pp.p, pp.m, modulus)
     _SPEC_CACHE[q] = spec
     return spec
-
-
-class FieldElement:
-    """One element of a FieldSpec, with operator arithmetic."""
-
-    __slots__ = ("spec", "code")
-
-    def __init__(self, spec: FieldSpec, code: int):
-        self.spec = spec
-        self.code = code
-
-    def _check(self, other: FieldElement) -> None:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
-        if self.spec != other.spec:
-            raise SpecMismatch("elements belong to different field specs")
-
-    def __add__(self, other: FieldElement) -> FieldElement:
-        self._check(other)
-        return FieldElement(self.spec, self.spec.add_code(self.code, other.code))
-
-    def __sub__(self, other: FieldElement) -> FieldElement:
-        self._check(other)
-        return FieldElement(self.spec, self.spec.sub_code(self.code, other.code))
-
-    def __mul__(self, other: FieldElement) -> FieldElement:
-        self._check(other)
-        return FieldElement(self.spec, self.spec.mul_code(self.code, other.code))
-
-    def __neg__(self) -> FieldElement:
-        return FieldElement(self.spec, self.spec.neg_code(self.code))
-
-    def __pow__(self, e: int) -> FieldElement:
-        return FieldElement(self.spec, self.spec.pow_code(self.code, e))
-
-    def inverse(self) -> FieldElement:
-        return FieldElement(self.spec, self.spec.inv_code(self.code))
-
-    def __truediv__(self, other: FieldElement) -> FieldElement:
-        self._check(other)
-        return self * other.inverse()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and self.spec == other.spec
-            and self.code == other.code
-        )
-
-    def __hash__(self):
-        return hash((self.spec, self.code))
-
-    def __bool__(self):
-        return self.code != 0
-
-    def __repr__(self):
-        return f"GF({self.spec.q}):{self.code}"

@@ -22,7 +22,7 @@ from .errors import (
     ParseError,
     SpecMismatch,
 )
-from .gf import FieldElement, FieldSpec, field_make
+from .gf import FieldSpec, field_make
 
 DEFAULT_DISTANCE_BUDGET = 10**7
 DEFAULT_SEARCH_BUDGET = 100_000
@@ -54,9 +54,6 @@ class MatrixGF:
     @property
     def ncols(self) -> int:
         return len(self.rows[0])
-
-    def at(self, i: int, j: int) -> FieldElement:
-        return self.spec.element(self.rows[i][j])
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.rows[i]
@@ -149,10 +146,6 @@ class LinearCode:
     def __repr__(self) -> str:
         dtxt = f", d={self._dmin}" if self._dmin is not None else ""
         return f"LinearCode([{self.n},{self.k}{dtxt}]_{self.spec.q})"
-
-
-def generator_matrix(code: LinearCode) -> MatrixGF:
-    return code.generator
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ length q+1.
 from __future__ import annotations
 
 from .errors import BudgetExceeded, ParameterError
-from .gf import field_make
+from .gf import FieldSpec, field_make
 from .linear import (
     DEFAULT_DISTANCE_BUDGET,
     LinearCode,
@@ -20,6 +20,15 @@ from .linear import (
 )
 
 
+def _power_rows(spec: FieldSpec, points: list[int], k: int) -> list[list[int]]:
+    """Rows a^0, ..., a^(k-1) over the points, by repeated lookups (0^0 = 1)."""
+    mul = spec.tables()[1]
+    rows = [[1] * len(points)]
+    for _ in range(k - 1):
+        rows.append([mul[x][a] for x, a in zip(rows[-1], points)])
+    return rows
+
+
 def reed_solomon(q: int, n: int, k: int) -> LinearCode:
     """[n, k, n-k+1]_q Reed-Solomon code on the first n canonical points."""
     if not 0 < k < n:
@@ -27,9 +36,7 @@ def reed_solomon(q: int, n: int, k: int) -> LinearCode:
     if n > q:
         raise ParameterError(f"need n <= q, got n={n}, q={q}")
     spec = field_make(q)
-    points = list(range(n))
-    g = [[spec.pow_code(a, i) for a in points] for i in range(k)]
-    return LinearCode(spec, g)
+    return LinearCode(spec, _power_rows(spec, list(range(n)), k))
 
 
 def extended_rs(q: int, k: int) -> LinearCode:
@@ -41,11 +48,9 @@ def extended_rs(q: int, k: int) -> LinearCode:
     if not 0 < k <= q:
         raise ParameterError(f"need 0 < k <= q, got k={k}, q={q}")
     spec = field_make(q)
-    g = []
-    for i in range(k):
-        row = [spec.pow_code(a, i) for a in range(q)]
+    g = _power_rows(spec, list(range(q)), k)
+    for i, row in enumerate(g):
         row.append(1 if i == k - 1 else 0)
-        g.append(row)
     return LinearCode(spec, g)
 
 

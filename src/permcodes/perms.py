@@ -31,7 +31,7 @@ from .errors import (
     SpecMismatch,
     VerificationFailed,
 )
-from .gf import FieldElement, FieldSpec
+from .gf import FieldSpec
 from .linear import (
     LinearCode,
     MatrixGF,
@@ -222,16 +222,12 @@ def coset_representatives(n: int, q: int, budget: int = DEFAULT_COSET_BUDGET) ->
 
 
 # ---------------------------------------------------------------------------
-# Label map and syndrome
-
-
-def L_map(i: int, spec: FieldSpec) -> FieldElement:
-    """The label of position i: the canonical element with code i mod q."""
-    return spec.element(i % spec.q)
+# Labels and syndrome
 
 
 def phi(perm: Perm, check: MatrixGF) -> tuple[int, ...]:
-    """Syndrome of the label vector (L(sigma(1)), ..., L(sigma(n)))."""
+    """Syndrome of the label vector: position i carries the element code
+    sigma(i) mod q."""
     spec = check.spec
     q = spec.q
     if len(perm) != check.ncols:
@@ -250,8 +246,8 @@ def phi(perm: Perm, check: MatrixGF) -> tuple[int, ...]:
 
 
 def label_sum(n: int, spec: FieldSpec) -> int:
-    """Code of sum over i in 1..n of L(i); first syndrome coordinate under an
-    all-ones check row, identical for every permutation."""
+    """Code of the sum over i in 1..n of the labels i mod q; first syndrome
+    coordinate under an all-ones check row, identical for every permutation."""
     add = spec.tables()[0]
     acc = 0
     for i in range(1, n + 1):
@@ -367,11 +363,12 @@ def construct_permutation_code(
     reachable syndrome set by a factor of q and raises the pigeonhole floor
     accordingly.
     """
-    buckets, _check = syndrome_buckets(code, gamma_prime, assume_ones_row, budget)
-    d = code.d if code.d is not None else min_distance(code)
-    n, q, k = code.n, code.spec.q, code.k
     members = list(gamma_prime)
-    kspec = ResidueSubgroupSpec.for_params(n, q)
+    buckets, _check = syndrome_buckets(code, members, assume_ones_row, budget)
+    d = code.d  # computed and cached by syndrome_buckets
+    n, q, k = code.n, code.spec.q, code.k
+    k_order = ResidueSubgroupSpec.for_params(n, q).order
+    coset_count = math.factorial(n) // k_order
 
     syndrome, bucket = min(buckets.items(), key=lambda kv: (-len(kv[1]), kv[0]))
     verified = code_min_distance(bucket)
@@ -379,10 +376,7 @@ def construct_permutation_code(
         raise VerificationFailed(
             f"bucket distance {verified} fell below the guaranteed {d}"
         )
-    value, floor = general_firstbound(
-        n, q, k, len(members), kspec.order, ones_row=assume_ones_row
-    )
-    del value
+    _, floor = general_firstbound(n, q, k, len(members), k_order, ones_row=assume_ones_row)
     pc = PermutationCode(n, bucket, _distance=verified)
     cert = ConstructionCertificate(
         n=n,
@@ -390,10 +384,10 @@ def construct_permutation_code(
         k=k,
         d=d,
         ones_row=assume_ones_row,
-        subgroup_order=kspec.order,
+        subgroup_order=k_order,
         gamma_size=len(members),
-        coset_count=math.factorial(n) // kspec.order,
-        sweep_size=math.factorial(n) // kspec.order * len(members),
+        coset_count=coset_count,
+        sweep_size=coset_count * len(members),
         syndrome=syndrome,
         bucket_size=len(bucket),
         verified_distance=verified,

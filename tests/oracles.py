@@ -1,11 +1,41 @@
 """Shared brute-force oracles used across the test modules.
 
-Everything here enumerates directly with plain field arithmetic or plain
-pair loops; none of it reuses the scan loops inside the package, so
-agreement between the two is evidence, not tautology.
+Everything here enumerates directly with plain pair loops or with field
+arithmetic from sympy's galoistools; none of it reuses the scan loops or the
+GF tables inside the package, so agreement between the two is evidence, not
+tautology.
 """
 
+import functools
 import itertools
+
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_add, gf_mul, gf_rem, gf_strip
+
+
+def _to_poly(spec, code):
+    """Element code -> galoistools polynomial (highest degree first)."""
+    return gf_strip([code // spec.p**i % spec.p for i in reversed(range(spec.m))])
+
+
+def _to_code(spec, poly):
+    out = 0
+    for c in poly:
+        out = out * spec.p + int(c)
+    return out
+
+
+# Cached so that codeword enumeration does not redo the polynomial arithmetic
+# for every pair it meets again.
+@functools.cache
+def oracle_add(spec, a, b):
+    return _to_code(spec, gf_add(_to_poly(spec, a), _to_poly(spec, b), spec.p, ZZ))
+
+
+@functools.cache
+def oracle_mul(spec, a, b):
+    prod = gf_mul(_to_poly(spec, a), _to_poly(spec, b), spec.p, ZZ)
+    return _to_code(spec, gf_rem(prod, list(reversed(spec.modulus)), spec.p, ZZ))
 
 
 def oracle_codewords(code):
@@ -18,7 +48,7 @@ def oracle_codewords(code):
             if m == 0:
                 continue
             for j in range(code.n):
-                w[j] = spec.add_code(w[j], spec.mul_code(m, code.generator.rows[i][j]))
+                w[j] = oracle_add(spec, w[j], oracle_mul(spec, m, code.generator.rows[i][j]))
         words.append(tuple(w))
     return words
 

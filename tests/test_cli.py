@@ -246,6 +246,15 @@ def test_compare_amds(capsys):
     assert lines[2].startswith("8,16,12,2,")
 
 
+def test_compare_amds_reports_dropped_rows(capsys):
+    # q=16 needs a clique over more candidate words than the budget allows
+    rc, out, err = run(capsys, "compare", "--mode", "amds-vs-old",
+                       "--q", "8,16", "--alpha", "2", "--b", "11/16")
+    assert rc == 0
+    assert "q=16" in err
+    assert not any(line.startswith("16,") for line in out.splitlines())
+
+
 def test_compare_amds_needs_q(capsys):
     rc, _, err = run(capsys, "compare", "--mode", "amds-vs-old")
     assert rc == 1

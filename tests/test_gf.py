@@ -7,10 +7,12 @@ verification, which would fail for any reducible modulus.
 """
 
 import pytest
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_irreducible_p
 
-from permcodes.errors import NotAPrimePower, ParameterError, SpecMismatch
+from permcodes.errors import NotAPrimePower, ParameterError
 from permcodes.gf import (
-    FieldElement,
+    FieldSpec,
     factor_prime_power,
     field_make,
     is_prime,
@@ -18,6 +20,8 @@ from permcodes.gf import (
     next_prime,
     next_prime_power,
 )
+
+from oracles import oracle_add, oracle_mul
 
 
 def test_is_prime_small():
@@ -76,13 +80,19 @@ def test_field_make_rejects_non_prime_powers():
             field_make(bad)
 
 
+def test_reducible_modulus_is_rejected():
+    # x^2 + 1 = (x + 1)^2 over GF(2): no element generates the nonzero codes
+    with pytest.raises(ParameterError):
+        FieldSpec(2, 2, (1, 0, 1)).tables()
+
+
 def test_prime_field_matches_integer_arithmetic():
-    spec = field_make(5)
+    add, mul, neg, _ = field_make(5).tables()
     for a in range(5):
         for b in range(5):
-            assert spec.add_code(a, b) == (a + b) % 5
-            assert spec.mul_code(a, b) == (a * b) % 5
-        assert spec.neg_code(a) == (-a) % 5
+            assert add[a][b] == (a + b) % 5
+            assert mul[a][b] == (a * b) % 5
+        assert neg[a] == (-a) % 5
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -92,47 +102,59 @@ def test_field_axioms_exhaustive(q):
     A reducible modulus would produce zero divisors and fail the inverse
     check, so this also certifies irreducibility of the frozen moduli.
     """
-    spec = field_make(q)
+    add, mul, neg, inv = field_make(q).tables()
     els = list(range(q))
     for a in els:
-        assert spec.add_code(a, 0) == a
-        assert spec.mul_code(a, 1) == a
-        assert spec.mul_code(a, 0) == 0
-        assert spec.add_code(a, spec.neg_code(a)) == 0
+        assert add[a][0] == a
+        assert mul[a][1] == a
+        assert mul[a][0] == 0
+        assert add[a][neg[a]] == 0
         if a != 0:
-            assert spec.mul_code(a, spec.inv_code(a)) == 1
+            assert mul[a][inv[a]] == 1
     for a in els:
         for b in els:
-            assert spec.add_code(a, b) == spec.add_code(b, a)
-            assert spec.mul_code(a, b) == spec.mul_code(b, a)
+            assert add[a][b] == add[b][a]
+            assert mul[a][b] == mul[b][a]
     for a in els:
         for b in els:
             for c in els:
-                assert spec.add_code(spec.add_code(a, b), c) == spec.add_code(
-                    a, spec.add_code(b, c)
-                )
-                assert spec.mul_code(spec.mul_code(a, b), c) == spec.mul_code(
-                    a, spec.mul_code(b, c)
-                )
-                assert spec.mul_code(a, spec.add_code(b, c)) == spec.add_code(
-                    spec.mul_code(a, b), spec.mul_code(a, c)
-                )
+                assert add[add[a][b]][c] == add[a][add[b][c]]
+                assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
+                assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
 
 
 @pytest.mark.parametrize("q", [4, 8, 9])
 def test_multiplicative_group_order(q):
-    spec = field_make(q)
+    mul = field_make(q).tables()[1]
     for a in range(1, q):
-        assert spec.pow_code(a, q - 1) == 1
+        x = 1
+        for _ in range(q - 1):
+            x = mul[x][a]
+        assert x == 1
     # the group is cyclic, so some element has full order
     orders = []
     for a in range(1, q):
         x, order = a, 1
         while x != 1:
-            x = spec.mul_code(x, a)
+            x = mul[x][a]
             order += 1
         orders.append(order)
     assert max(orders) == q - 1
+
+
+def test_tables_match_polynomial_oracle():
+    """Every add and mul entry for q <= 64 against sympy's GF(p)[x] arithmetic
+    modulo the frozen modulus, which must itself be irreducible."""
+    for q in range(2, 65):
+        if not is_prime_power(q):
+            continue
+        spec = field_make(q)
+        assert gf_irreducible_p(list(reversed(spec.modulus)), spec.p, ZZ)
+        add, mul, _, _ = spec.tables()
+        for a in range(q):
+            for b in range(q):
+                assert add[a][b] == oracle_add(spec, a, b), (q, a, b)
+                assert mul[a][b] == oracle_mul(spec, a, b), (q, a, b)
 
 
 def test_tables_are_latin_squares():
@@ -143,38 +165,5 @@ def test_tables_are_latin_squares():
         assert set(row) == full
     for a in range(1, 8):
         assert set(mul[a][1:]) == full - {0}
-        assert inv[a] == spec.inv_code(a)
-    assert all(spec.add_code(a, neg[a]) == 0 for a in range(8))
-
-
-def test_element_wrapper_algebra():
-    spec = field_make(8)
-    els = [spec.element(x) for x in range(8)]
-    one = spec.one()
-    for a in els:
-        for b in els:
-            assert (a + b) - b == a
-            assert a * b == b * a
-            if b.code != 0:
-                assert (a / b) * b == a
-    for a in els[1:]:
-        assert a * a.inverse() == one
-        assert a ** 7 == one
-        assert a ** 0 == one
-    assert els[3] != spec.element(4)
-    with pytest.raises(ParameterError):
-        spec.element(8)
-
-
-def test_elements_of_different_fields_do_not_mix():
-    a = field_make(4).element(1)
-    b = field_make(8).element(1)
-    with pytest.raises(SpecMismatch):
-        _ = a + b
-
-
-def test_pow_negative_exponent():
-    spec = field_make(9)
-    for a in range(1, 9):
-        assert spec.mul_code(spec.pow_code(a, -1), a) == 1
-    assert isinstance(FieldElement(spec, 2) ** -2, FieldElement)
+        assert mul[a][inv[a]] == 1
+    assert all(add[a][neg[a]] == 0 for a in range(8))

@@ -38,7 +38,6 @@ from permcodes.perms import (
     identity_perm,
     inverse,
     involution_pairs,
-    L_map,
     label_sum,
     lift_code_into_K,
     max_binary_code,
@@ -247,12 +246,6 @@ def test_coset_representatives_cover_everything():
 # labels and syndromes
 
 
-def test_label_map_follows_residues():
-    spec = field_make(5)
-    for i in range(1, 11):
-        assert L_map(i, spec).code == i % 5
-
-
 def test_label_sum_is_constant_over_permutations():
     fspec = field_make(5)
     n = 6
@@ -408,6 +401,13 @@ def test_construct_fixture_and_certificate():
     text = cert.to_text()
     assert "guaranteed_floor: 103" in text
     assert f"bucket_size: {pc.size}" in text
+
+
+def test_construct_accepts_gamma_as_an_iterator():
+    work = build_fixture_a()
+    _, from_list = construct_permutation_code(work, [identity_perm(6)], seed=7)
+    _, from_iter = construct_permutation_code(work, iter([identity_perm(6)]), seed=7)
+    assert from_iter == from_list
 
 
 def test_construct_rejects_gamma_outside_K():
