@@ -124,7 +124,6 @@ def general_firstbound(
     q: int,
     k: int,
     gamma_size: int,
-    subgroup_order: int,
     ones_row: bool,
 ) -> tuple[Fraction, int]:
     """Pigeonhole floor for the syndrome construction.
@@ -138,12 +137,7 @@ def general_firstbound(
     if gamma_size < 1:
         raise ParameterError("gamma_size must be positive")
     s, r = divmod(n, q)
-    expected = math.factorial(s + 1) ** r * math.factorial(s) ** (q - r)
-    if subgroup_order != expected:
-        raise PreconditionViolated(
-            f"subgroup order {subgroup_order} does not match the residue"
-            f" subgroup shape for n={n}, q={q} (expected {expected})"
-        )
+    subgroup_order = math.factorial(s + 1) ** r * math.factorial(s) ** (q - r)
     exponent = n - k - 1 if ones_row else n - k
     value = Fraction(
         math.factorial(n) * gamma_size, subgroup_order * q**exponent

@@ -1,4 +1,4 @@
-"""MDS code families and exact MDS/weight-spectrum verification.
+"""MDS code families and exact MDS/dual-MDS verification.
 
 Reed-Solomon codes evaluate polynomials of degree < k at the first n field
 elements in canonical code order (so the point set always starts 0, 1, ...).
@@ -16,7 +16,6 @@ from .linear import (
     check_columns_independent,
     dual,
     min_distance,
-    nonzero_weight_set,
 )
 
 
@@ -73,7 +72,3 @@ def verify_dual_mds(code: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) -> 
     except BudgetExceeded:
         return check_columns_independent(code.generator, code.k)
 
-
-def weight_spectrum_check(code: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) -> set[int]:
-    """Exact set of nonzero codeword weights."""
-    return nonzero_weight_set(code, budget)

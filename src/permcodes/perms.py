@@ -44,7 +44,6 @@ Perm = tuple[int, ...]
 
 DEFAULT_SWEEP_BUDGET = 10**6
 DEFAULT_SUBGROUP_BUDGET = 100_000
-DEFAULT_COSET_BUDGET = math.factorial(10)
 MAX_CLIQUE_VERTICES = 4096
 
 
@@ -83,7 +82,7 @@ def all_permutations(n: int):
 
 
 class PermutationCode:
-    """A set of distinct permutations of {1..n} with a cached min distance."""
+    """A duplicate-free set of permutations of {1..n} with a cached min distance."""
 
     __slots__ = ("n", "members", "_dmin")
 
@@ -202,22 +201,30 @@ def subgroup_K(spec: ResidueSubgroupSpec, budget: int = DEFAULT_SUBGROUP_BUDGET)
     return pc
 
 
-def coset_representatives(n: int, q: int, budget: int = DEFAULT_COSET_BUDGET) -> list[Perm]:
-    """One representative per right coset of K, first-seen in lex order.
+def coset_representatives(n: int, q: int, budget: int = DEFAULT_SWEEP_BUDGET) -> list[Perm]:
+    """The lexicographically first member of each right coset of K, in lex order.
 
     Right cosets of K are exactly the level sets of the residue vector
-    (sigma(1) mod q, ..., sigma(n) mod q).
+    (sigma(1) mod q, ..., sigma(n) mod q).  Each position takes the smallest
+    free value of some residue class; trying the classes by that value gives
+    the first member of every coset, in order.  The budget counts cosets.
     """
-    if math.factorial(n) > budget:
-        raise BudgetExceeded(f"{n}! exceeds budget {budget}")
-    seen: dict[tuple[int, ...], Perm] = {}
-    for p in all_permutations(n):
-        key = tuple(x % q for x in p)
-        if key not in seen:
-            seen[key] = p
-    reps = list(seen.values())
-    expected = math.factorial(n) // ResidueSubgroupSpec.for_params(n, q).order
-    assert len(reps) == expected
+    count = math.factorial(n) // ResidueSubgroupSpec.for_params(n, q).order
+    if count > budget:
+        raise BudgetExceeded(f"{count} cosets exceed budget {budget}")
+    reps: list[Perm] = []
+
+    def extend(prefix: Perm, free: Perm) -> None:
+        if len(free) == 1:
+            reps.append(prefix + free)
+            return
+        seen = set()
+        for i, v in enumerate(free):
+            if v % q not in seen:
+                seen.add(v % q)
+                extend(prefix + (v,), free[:i] + free[i + 1 :])
+
+    extend((), identity_perm(n))
     return reps
 
 
@@ -302,49 +309,19 @@ class ConstructionCertificate:
 
 def syndrome_buckets(
     code: LinearCode,
-    gamma_prime,
     assume_ones_row: bool = True,
     budget: int = DEFAULT_SWEEP_BUDGET,
 ) -> tuple[dict[tuple[int, ...], list[Perm]], MatrixGF]:
-    """Bucket the sweep T = union of gamma_prime * coset_reps by syndrome.
+    """Bucket the coset representatives of K by syndrome.
 
-    Returns (buckets, check matrix).  Validates that gamma_prime sits inside
-    the residue subgroup and respects the code's distance.
+    Returns ({syndrome: representatives}, check matrix).  Every g in K keeps
+    residues, so each translate g o rep has the syndrome of rep.  The budget
+    counts cosets.
     """
-    spec = code.spec
-    n, q = code.n, spec.q
-    d = code.d if code.d is not None else min_distance(code)
-
-    members = list(gamma_prime)
-    if not members:
-        raise ParameterError("gamma_prime must be nonempty")
-    kspec = ResidueSubgroupSpec.for_params(n, q)
-    for g in members:
-        if not kspec.contains(tuple(g)):
-            raise PreconditionViolated(f"{g} is outside the residue subgroup")
-    if code_min_distance(members) < d:
-        raise PreconditionViolated(
-            "gamma_prime min distance is below the code distance"
-        )
-
-    k_order = kspec.order
-    coset_count = math.factorial(n) // k_order
-    sweep = coset_count * len(members)
-    if sweep > budget:
-        raise BudgetExceeded(f"sweep of {sweep} translates exceeds budget {budget}")
-
     check = parity_check_with_ones_row(code) if assume_ones_row else parity_check(code)
-    reps = coset_representatives(n, q)
     buckets: dict[tuple[int, ...], list[Perm]] = {}
-    seen_count = 0
-    distinct: set[Perm] = set()
-    for rep in reps:
-        for g in members:
-            t = compose(tuple(g), rep)
-            buckets.setdefault(phi(t, check), []).append(t)
-            seen_count += 1
-            distinct.add(t)
-    assert seen_count == sweep and len(distinct) == sweep
+    for rep in coset_representatives(code.n, code.spec.q, budget):
+        buckets.setdefault(phi(rep, check), []).append(rep)
     return buckets, check
 
 
@@ -355,28 +332,44 @@ def construct_permutation_code(
     budget: int = DEFAULT_SWEEP_BUDGET,
     seed: int | None = None,
 ) -> tuple[PermutationCode, ConstructionCertificate]:
-    """Build the largest syndrome bucket and certify it.
+    """Build the largest syndrome bucket of the sweep gamma_prime * coset reps
+    and certify it.
 
     The input code must have its exact distance available (it is computed on
-    demand within the default enumeration budget).  With assume_ones_row the
-    check matrix is forced to start with the all-ones row, which shrinks the
-    reachable syndrome set by a factor of q and raises the pigeonhole floor
-    accordingly.
+    demand within the default enumeration budget).  gamma_prime must lie in
+    the residue subgroup and respect the code's distance; the budget counts
+    translates.  With assume_ones_row the check matrix is forced to start
+    with the all-ones row, which shrinks the reachable syndrome set by a
+    factor of q and raises the pigeonhole floor accordingly.
     """
-    members = list(gamma_prime)
-    buckets, _check = syndrome_buckets(code, members, assume_ones_row, budget)
-    d = code.d  # computed and cached by syndrome_buckets
     n, q, k = code.n, code.spec.q, code.k
-    k_order = ResidueSubgroupSpec.for_params(n, q).order
+    d = code.d if code.d is not None else min_distance(code)
+    members = [tuple(g) for g in gamma_prime]
+    if not members:
+        raise ParameterError("gamma_prime must be nonempty")
+    kspec = ResidueSubgroupSpec.for_params(n, q)
+    for g in members:
+        if not kspec.contains(g):
+            raise PreconditionViolated(f"{g} is outside the residue subgroup")
+    if code_min_distance(members) < d:
+        raise PreconditionViolated(
+            "gamma_prime min distance is below the code distance"
+        )
+    k_order = kspec.order
     coset_count = math.factorial(n) // k_order
+    sweep = coset_count * len(members)
+    if sweep > budget:
+        raise BudgetExceeded(f"sweep of {sweep} translates exceeds budget {budget}")
 
-    syndrome, bucket = min(buckets.items(), key=lambda kv: (-len(kv[1]), kv[0]))
+    buckets, _check = syndrome_buckets(code, assume_ones_row, budget)
+    syndrome, reps = min(buckets.items(), key=lambda kv: (-len(kv[1]), kv[0]))
+    bucket = [compose(g, rep) for rep in reps for g in members]
     verified = code_min_distance(bucket)
     if verified < d:
         raise VerificationFailed(
             f"bucket distance {verified} fell below the guaranteed {d}"
         )
-    _, floor = general_firstbound(n, q, k, len(members), k_order, ones_row=assume_ones_row)
+    _, floor = general_firstbound(n, q, k, len(members), ones_row=assume_ones_row)
     pc = PermutationCode(n, bucket, _distance=verified)
     cert = ConstructionCertificate(
         n=n,
@@ -387,7 +380,7 @@ def construct_permutation_code(
         subgroup_order=k_order,
         gamma_size=len(members),
         coset_count=coset_count,
-        sweep_size=coset_count * len(members),
+        sweep_size=sweep,
         syndrome=syndrome,
         bucket_size=len(bucket),
         verified_distance=verified,

@@ -93,3 +93,36 @@ def oracle_max_subset_size(members, d):
             ):
                 return r
     return best
+
+
+def oracle_coset_representatives(n, q):
+    """First permutation seen for each residue vector in a lex walk of S_n."""
+    seen = {}
+    for p in itertools.permutations(range(1, n + 1)):
+        seen.setdefault(tuple(x % q for x in p), p)
+    return list(seen.values())
+
+
+def oracle_syndrome(perm, check):
+    """Syndrome of the labels sigma(i) mod q, with galoistools arithmetic."""
+    spec = check.spec
+    out = []
+    for row in check.rows:
+        acc = 0
+        for h, x in zip(row, perm):
+            acc = oracle_add(spec, acc, oracle_mul(spec, h, x % spec.q))
+        out.append(acc)
+    return tuple(out)
+
+
+def oracle_largest_bucket(gamma, check, n, q):
+    """Bucket every translate g o rep by its own syndrome and return the
+    largest bucket, ties to the smallest syndrome, as (syndrome, sorted
+    members)."""
+    buckets = {}
+    for rep in oracle_coset_representatives(n, q):
+        for g in gamma:
+            t = tuple(g[x - 1] for x in rep)
+            buckets.setdefault(oracle_syndrome(t, check), []).append(t)
+    syn = min(buckets, key=lambda s: (-len(buckets[s]), s))
+    return syn, sorted(buckets[syn])

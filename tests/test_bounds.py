@@ -174,22 +174,17 @@ def test_amds_lower_preconditions():
 
 def test_general_firstbound_fixture_floors():
     # fixture A: trivial subgroup, gamma of size 1, ones row active
-    _, floor_a = general_firstbound(6, 7, 4, 1, 1, ones_row=True)
+    _, floor_a = general_firstbound(6, 7, 4, 1, ones_row=True)
     assert floor_a == 103  # ceil(720/7)
     # fixture B: subgroup of order 2
-    _, floor_b = general_firstbound(6, 5, 3, 1, 2, ones_row=True)
+    _, floor_b = general_firstbound(6, 5, 3, 1, ones_row=True)
     assert floor_b == 15  # ceil(720/50)
     # fixture C: subgroup of order 4, gamma of size 2
-    _, floor_c = general_firstbound(6, 4, 2, 2, 4, ones_row=True)
+    _, floor_c = general_firstbound(6, 4, 2, 2, ones_row=True)
     assert floor_c == 6  # ceil(1440/256)
     # without the ones row the reachable syndrome set grows by a factor q
-    _, floor_a_plain = general_firstbound(6, 7, 4, 1, 1, ones_row=False)
+    _, floor_a_plain = general_firstbound(6, 7, 4, 1, ones_row=False)
     assert floor_a_plain == 15  # ceil(720/49)
-
-
-def test_general_firstbound_checks_subgroup_order():
-    with pytest.raises(PreconditionViolated):
-        general_firstbound(6, 5, 3, 1, 3, ones_row=True)  # K order must be 2
 
 
 def test_envelope_and_ratio_frozen():

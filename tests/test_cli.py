@@ -145,6 +145,23 @@ def test_construct_budget_exit(capsys):
     assert rc == 4
 
 
+def test_construct_beyond_ten_points(tmp_path, capsys):
+    # n = 11 over GF(3): 11!/|K| = 11,550 cosets, within the default budget
+    code_path = tmp_path / "code.txt"
+    pc_path = tmp_path / "pc.txt"
+    rc, _, _ = run(capsys, "code-search", "--n", "11", "--k", "6", "--d", "4",
+                   "--q", "3", "--seed", "1", "--out", str(code_path))
+    assert rc == 0
+    rc, out, _ = run(capsys, "construct", "--source", "file", "--code-file",
+                     str(code_path), "--d", "4", "--gamma", "identity",
+                     "--seed", "1", "--out", str(pc_path))
+    assert rc == 0
+    assert "n=11" in out and "floor=143" in out
+    rc, out, _ = run(capsys, "verify", str(pc_path), "--d", "4")
+    assert rc == 0
+    assert out.strip().endswith("PASS")
+
+
 def test_construct_rs_needs_params(capsys):
     rc, _, err = run(capsys, "construct", "--d", "3", "--source", "rs", "--seed", "1")
     assert rc == 1

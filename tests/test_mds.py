@@ -4,14 +4,8 @@ import pytest
 
 from permcodes.errors import ParameterError
 from permcodes.gf import field_make
-from permcodes.linear import LinearCode, dual, min_distance
-from permcodes.mds import (
-    extended_rs,
-    is_mds,
-    reed_solomon,
-    verify_dual_mds,
-    weight_spectrum_check,
-)
+from permcodes.linear import LinearCode, dual, min_distance, nonzero_weight_set
+from permcodes.mds import extended_rs, is_mds, reed_solomon, verify_dual_mds
 
 from oracles import oracle_min_distance, oracle_weights
 
@@ -75,7 +69,7 @@ def test_extended_rs_two_dim_spectrum_is_single_weight():
     # word has weight exactly q.  Oracle enumeration agrees.
     for q in (4, 5):
         code = extended_rs(q, 2)
-        assert weight_spectrum_check(code) == {q}
+        assert nonzero_weight_set(code) == {q}
         assert oracle_weights(code) == {q}
 
 
@@ -83,7 +77,7 @@ def test_dual_of_high_dim_extended_rs_matches_two_dim_shape():
     # dual of [q+1, q-1] is a [q+1, 2] MDS code, hence single-weight {q}
     for q in (4, 5, 7):
         code = extended_rs(q, q - 1)
-        assert weight_spectrum_check(dual(code)) == {q}
+        assert nonzero_weight_set(dual(code)) == {q}
 
 
 def test_verify_dual_mds_fallback_agrees_with_enumeration():
@@ -98,4 +92,4 @@ def test_verify_dual_mds_fallback_agrees_with_enumeration():
 
 def test_weight_spectrum_check_matches_oracle():
     code = reed_solomon(8, 5, 3)
-    assert weight_spectrum_check(code) == oracle_weights(code)
+    assert nonzero_weight_set(code) == oracle_weights(code)

@@ -11,6 +11,7 @@ import math
 
 import pytest
 
+from permcodes import perms
 from permcodes.bounds import singleton_like_upper
 from permcodes.errors import (
     BudgetExceeded,
@@ -21,7 +22,13 @@ from permcodes.errors import (
     VerificationFailed,
 )
 from permcodes.gf import field_make
-from permcodes.linear import min_distance, normalize_first_row_ones, find_full_weight_dual_codeword
+from permcodes.linear import (
+    find_full_weight_dual_codeword,
+    min_distance,
+    normalize_first_row_ones,
+    parity_check_with_ones_row,
+    random_code_search,
+)
 from permcodes.mds import extended_rs, reed_solomon
 from permcodes.perms import (
     PermutationCode,
@@ -50,7 +57,13 @@ from permcodes.perms import (
     write_permutation_code,
 )
 
-from oracles import oracle_code_distance, oracle_max_subset_size, oracle_perm_distance
+from oracles import (
+    oracle_code_distance,
+    oracle_coset_representatives,
+    oracle_largest_bucket,
+    oracle_max_subset_size,
+    oracle_perm_distance,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +253,20 @@ def test_coset_representatives_cover_everything():
             assert t not in seen
             seen.add(t)
     assert len(seen) == math.factorial(n)
+
+
+def test_coset_representatives_match_the_lex_walk():
+    # the lexicographically first member of every coset, in the order a lex
+    # walk of S_n meets the cosets
+    for n in range(1, 9):
+        for q in range(2, n + 2):
+            assert coset_representatives(n, q) == oracle_coset_representatives(n, q)
+
+
+def test_coset_budget_counts_cosets():
+    assert len(coset_representatives(6, 4, budget=180)) == 180
+    with pytest.raises(BudgetExceeded):
+        coset_representatives(6, 4, budget=179)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +465,7 @@ def test_construct_budget():
 
 def test_syndrome_buckets_partition_the_sweep():
     work = build_fixture_a()
-    buckets, check = syndrome_buckets(work, [identity_perm(6)])
+    buckets, check = syndrome_buckets(work)
     total = sum(len(v) for v in buckets.values())
     assert total == 720
     distinct = set()
@@ -448,6 +475,42 @@ def test_syndrome_buckets_partition_the_sweep():
     # ones-row check: all syndromes share the forced first coordinate
     firsts = {syn[0] for syn in buckets}
     assert firsts == {label_sum(6, work.spec)}
+
+
+def build_subgroup_case(q, n, k, d, seed):
+    """A random ones-row code and an exact inner code of more than one
+    member inside K."""
+    code = random_code_search(n, k, d, q, seed)
+    work = normalize_first_row_ones(code, find_full_weight_dual_codeword(code, seed))
+    kspec = ResidueSubgroupSpec.for_params(n, q)
+    gamma = list(max_code_in_K(kspec, d, mode="exact").members)
+    assert len(gamma) > 1
+    return work, gamma, kspec
+
+
+def test_phi_runs_once_per_coset(monkeypatch):
+    work, gamma, kspec = build_subgroup_case(4, 6, 2, 4, seed=3)
+    calls = 0
+    real_phi = perms.phi
+
+    def counting_phi(perm, check):
+        nonlocal calls
+        calls += 1
+        return real_phi(perm, check)
+
+    monkeypatch.setattr(perms, "phi", counting_phi)
+    _, cert = construct_permutation_code(work, gamma, seed=3)
+    assert cert.gamma_size == 2
+    assert calls == math.factorial(6) // kspec.order == cert.coset_count
+
+
+@pytest.mark.parametrize("q,n,k,d,seed", [(4, 6, 2, 4, 3), (3, 8, 4, 3, 1)])
+def test_construct_bucket_matches_translate_oracle(q, n, k, d, seed):
+    work, gamma, _ = build_subgroup_case(q, n, k, d, seed)
+    pc, cert = construct_permutation_code(work, gamma, seed=seed)
+    syn, members = oracle_largest_bucket(gamma, parity_check_with_ones_row(work), n, q)
+    assert cert.syndrome == syn
+    assert list(pc.members) == members
 
 
 def test_construct_without_ones_row_uses_weaker_floor():
