@@ -225,15 +225,14 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    budget = args.budget if args.budget else perms.DEFAULT_VERIFY_BUDGET
     n, size, dval, rows = perms.read_permutation_code(args.file)
+    recomputed = perms.code_min_distance(rows, budget)
     problems: list[str] = []
     if len(rows) != size:
         problems.append(f"header declares {size} rows, file has {len(rows)}")
-    if len(set(rows)) != len(rows):
-        recomputed: int | float = 0
+    if recomputed == 0:
         problems.append("duplicate rows (distance 0)")
-    else:
-        recomputed = perms.code_min_distance(rows)
     dtxt = "inf" if recomputed == math.inf else str(recomputed)
     if recomputed != dval:
         problems.append(f"header declares distance {dval}, recomputed {dtxt}")
@@ -428,6 +427,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="re-check a permutation code file")
     p.add_argument("file")
     p.add_argument("--d", type=int)
+    p.add_argument("--budget", type=int)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("compare", help="ratio studies between bounds")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,6 +45,7 @@ Perm = tuple[int, ...]
 
 DEFAULT_SWEEP_BUDGET = 10**6
 DEFAULT_SUBGROUP_BUDGET = 100_000
+DEFAULT_VERIFY_BUDGET = 10**8
 MAX_CLIQUE_VERTICES = 4096
 
 
@@ -117,24 +119,57 @@ class PermutationCode:
         return f"PermutationCode(n={self.n}, size={self.size}{dtxt})"
 
 
-def code_min_distance(code) -> int | float:
-    """Exact minimum pairwise distance; +inf for empty or singleton sets."""
+def _projectors(n: int, size: int) -> list:
+    """One key function per size-subset of the n positions: it maps a
+    permutation to its entries on that subset."""
+    if size == 0:
+        return [lambda p: ()]
+    return [operator.itemgetter(*s) for s in itertools.combinations(range(n), size)]
+
+
+def _projection_distance(members, budget: int) -> int | float:
+    m = len(members)
+    if m < 2:
+        return math.inf
+    n = len(members[0])
+    if any(len(p) != n for p in members):
+        raise LengthMismatch("permutations act on different sets")
+    hashed = 0
+
+    def collide(keys) -> bool:
+        nonlocal hashed
+        hashed += m
+        if hashed > budget:
+            raise BudgetExceeded(f"distance check needs more than {budget} projection keys")
+        return len(set(keys)) < m
+
+    if collide(members):
+        return 0
+    # Distinct permutations never differ in exactly one place: start at t = 2.
+    for t in range(2, n):
+        if any(collide(map(key, members)) for key in _projectors(n, n - t)):
+            return t
+    return n
+
+
+def code_min_distance(code, budget: int = DEFAULT_VERIFY_BUDGET) -> int | float:
+    """Exact minimum pairwise distance; +inf for empty or singleton sets.
+
+    Two distinct permutations of {1..n} are at distance <= t exactly when they
+    agree on some n - t positions (the pigeonhole behind
+    singleton_like_upper).  So after a duplicate check on whole rows, the
+    first t = 2, 3, ... at which two members share their entries on some
+    (n - t)-subset of positions is the minimum distance d.  For M members
+    that hashes at most M * (1 + sum of C(n, t) for 2 <= t <= d) keys, one
+    subset's set at a time; past ``budget`` keys it raises BudgetExceeded.
+    """
     if isinstance(code, PermutationCode):
         if code._dmin is not None:
             return code._dmin
         members = code.members
     else:
         members = list(code)
-    best: int | float = math.inf
-    m = len(members)
-    for i in range(m):
-        a = members[i]
-        for j in range(i + 1, m):
-            w = perm_hamming(a, members[j])
-            if w < best:
-                best = w
-                if best == 0:
-                    break
+    best = _projection_distance(members, budget)
     if isinstance(code, PermutationCode):
         code._dmin = best
     return best
@@ -176,7 +211,7 @@ class ResidueSubgroupSpec:
         return classes
 
     def contains(self, p: Perm) -> bool:
-        if len(p) != self.n:
+        if len(p) != self.n or not is_permutation(p):
             return False
         return all(p[i - 1] % self.q == i % self.q for i in range(1, self.n + 1))
 
@@ -459,19 +494,6 @@ def _max_clique(neigh: list[int]) -> list[int]:
     return sorted(best_set)
 
 
-def _greedy_clique_seeded(neigh: list[int], seed: int) -> list[int]:
-    n = len(neigh)
-    order = list(range(n))
-    random.Random(seed).shuffle(order)
-    cur: list[int] = []
-    allowed = (1 << n) - 1
-    for v in order:
-        if allowed >> v & 1:
-            cur.append(v)
-            allowed &= neigh[v]
-    return sorted(cur)
-
-
 def _distance_graph(members: list[Perm], d: int) -> list[int]:
     n = len(members)
     neigh = [0] * n
@@ -510,14 +532,18 @@ def max_code_in_K(
     elif mode == "greedy":
         if seed is None:
             raise ParameterError("greedy mode requires a seed")
-        neigh = None
         order = list(range(len(members)))
         random.Random(seed).shuffle(order)
+        # p is within distance d - 1 of a chosen word exactly when the two
+        # agree on some n - d + 1 positions: keep one set per such subset.
+        index = [(key, set()) for key in _projectors(spec.n, max(spec.n - d + 1, 0))]
         chosen = []
         for idx in order:
             p = members[idx]
-            if all(perm_hamming(p, c) >= d for c in chosen):
+            if all(key(p) not in seen for key, seen in index):
                 chosen.append(p)
+                for key, seen in index:
+                    seen.add(key(p))
     else:
         raise ParameterError(f"unknown mode {mode!r}")
     pc = PermutationCode(spec.n, chosen)

@@ -8,6 +8,7 @@ tautology.
 
 import functools
 import itertools
+import random
 
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_mul, gf_rem, gf_strip
@@ -79,6 +80,19 @@ def oracle_code_distance(perms):
             if best is None or d < best:
                 best = d
     return best
+
+
+def oracle_greedy_code(members, d, seed):
+    """First-fit pass over members in a seeded shuffle, each candidate checked
+    against every word kept so far by the pair loop."""
+    order = list(range(len(members)))
+    random.Random(seed).shuffle(order)
+    chosen = []
+    for idx in order:
+        p = members[idx]
+        if all(oracle_perm_distance(p, c) >= d for c in chosen):
+            chosen.append(p)
+    return chosen
 
 
 def oracle_max_subset_size(members, d):

@@ -219,6 +219,15 @@ def test_verify_required_distance(tmp_path, capsys):
     assert rc == 3  # but too weak for the caller
 
 
+def test_verify_budget_counts_projection_keys(tmp_path, capsys):
+    p = tmp_path / "pc.txt"
+    p.write_text("4 3 2\n1 2 3 4\n2 1 3 4\n1 2 4 3\n")
+    rc, out, err = run(capsys, "verify", str(p), "--budget", "2")
+    assert rc == 4 and out == "" and "budget exceeded" in err
+    rc, out, _ = run(capsys, "verify", str(p), "--budget", "6")
+    assert rc == 0 and out.endswith("distance: 2\nPASS\n")
+
+
 def test_compare_new_vs_old(capsys):
     rc, out, _ = run(capsys, "compare", "--mode", "new-vs-old",
                      "--n", "10,11,12", "--d", "6")

@@ -10,11 +10,14 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permcodes import perms
 from permcodes.bounds import singleton_like_upper
 from permcodes.errors import (
     BudgetExceeded,
+    LengthMismatch,
     ParameterError,
     ParseError,
     PreconditionViolated,
@@ -60,6 +63,7 @@ from permcodes.perms import (
 from oracles import (
     oracle_code_distance,
     oracle_coset_representatives,
+    oracle_greedy_code,
     oracle_largest_bucket,
     oracle_max_subset_size,
     oracle_perm_distance,
@@ -115,6 +119,36 @@ def test_code_min_distance_against_pair_loop():
     assert code_min_distance(members) == oracle_code_distance(members)
     assert code_min_distance([(1, 2, 3)]) == math.inf
     assert code_min_distance([]) == math.inf
+    with pytest.raises(LengthMismatch):
+        code_min_distance([(1, 2), (1, 2, 3)])
+
+
+@st.composite
+def permutation_lists(draw):
+    """Up to 40 permutations of 1..n, n <= 9.  Each row is fresh or a copy of
+    an earlier row with a few entries swapped (so small distances occur), and
+    sometimes an exact copy is inserted."""
+    n = draw(st.integers(1, 9))
+    rows = []
+    for _ in range(draw(st.integers(0, 40))):
+        if rows and draw(st.booleans()):
+            row = list(draw(st.sampled_from(rows)))
+            for _ in range(draw(st.integers(1, 3))):
+                i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+                row[i], row[j] = row[j], row[i]
+            rows.append(tuple(row))
+        else:
+            rows.append(tuple(draw(st.permutations(range(1, n + 1)))))
+    if rows and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(rows)))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(permutation_lists())
+def test_code_min_distance_matches_pair_loop(rows):
+    want = oracle_code_distance(rows)
+    assert code_min_distance(rows) == (math.inf if want is None else want)
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +440,16 @@ def test_max_code_in_K_greedy_is_valid_and_seeded():
         max_code_in_K(spec, 4, mode="greedy")  # no seed
 
 
+@pytest.mark.parametrize("n,q", [(6, 2), (6, 3), (7, 3), (8, 3), (8, 4)])
+def test_max_code_in_K_greedy_matches_pairwise_pass(n, q):
+    spec = ResidueSubgroupSpec.for_params(n, q)
+    members = list(subgroup_K(spec).members)
+    for d in range(1, n + 2):
+        for seed in (1, 2, 3):
+            got = max_code_in_K(spec, d, mode="greedy", seed=seed)
+            assert got.members == tuple(sorted(oracle_greedy_code(members, d, seed)))
+
+
 # ---------------------------------------------------------------------------
 # the construction itself
 
@@ -442,6 +486,9 @@ def test_construct_rejects_gamma_outside_K():
     bad = [(2, 1, 3, 4, 5, 6)]  # swaps residues 2 and 1 mod 7
     with pytest.raises(PreconditionViolated):
         construct_permutation_code(work, bad)
+    not_a_perm = [(8, 2, 3, 4, 5, 6)]  # right residues, but not in S_6
+    with pytest.raises(PreconditionViolated):
+        construct_permutation_code(work, not_a_perm)
 
 
 def test_construct_rejects_weak_gamma():
