@@ -212,30 +212,6 @@ class BoundCell:
     reason: str | None = None
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """All six tabulated bounds for one (n, d), inapplicable cells flagged."""
-
-    n: int
-    d: int
-    gv: BoundCell
-    sphere: BoundCell
-    singleton: BoundCell
-    old: BoundCell
-    mds: BoundCell
-    mds_plus1: BoundCell
-
-    def cells(self) -> dict[str, BoundCell]:
-        return {
-            "gv": self.gv,
-            "sphere": self.sphere,
-            "singleton": self.singleton,
-            "old": self.old,
-            "mds": self.mds,
-            "mds+1": self.mds_plus1,
-        }
-
-
 def _cell(fn, n: int, d: int) -> BoundCell:
     try:
         value, rounded = fn(n, d)
@@ -244,14 +220,14 @@ def _cell(fn, n: int, d: int) -> BoundCell:
     return BoundCell(applicable=True, value=value, rounded=rounded)
 
 
-def bound_report(n: int, d: int) -> BoundReport:
-    return BoundReport(
-        n=n,
-        d=d,
-        gv=_cell(gv_lower, n, d),
-        sphere=_cell(sphere_packing_upper, n, d),
-        singleton=_cell(singleton_like_upper, n, d),
-        old=_cell(old_prime_lower, n, d),
-        mds=_cell(mds_lower, n, d),
-        mds_plus1=_cell(mds_plus1_lower, n, d),
-    )
+def bound_report(n: int, d: int) -> dict[str, BoundCell]:
+    """All six tabulated bounds for one (n, d), keyed by table column;
+    inapplicable cells are flagged with the reason."""
+    return {
+        "gv": _cell(gv_lower, n, d),
+        "sphere": _cell(sphere_packing_upper, n, d),
+        "singleton": _cell(singleton_like_upper, n, d),
+        "old": _cell(old_prime_lower, n, d),
+        "mds": _cell(mds_lower, n, d),
+        "mds+1": _cell(mds_plus1_lower, n, d),
+    }

@@ -78,6 +78,17 @@ def _parse_fraction(text: str) -> Fraction:
         raise _UsageError(f"not a rational number: {text!r}") from None
 
 
+def _count(text: str) -> int:
+    """argparse type of --budget and --trials: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_int_list(text: str) -> list[int]:
     try:
         return [int(t) for t in text.split(",") if t.strip() != ""]
@@ -103,8 +114,7 @@ def cmd_table(args) -> int:
     marker_cols = [c for c in columns if c in MARK_COLUMNS]
     rows = []
     for n in range(args.n_min, args.n_max + 1):
-        report = bounds.bound_report(n, args.d)
-        cells = report.cells()
+        cells = bounds.bound_report(n, args.d)
         best = None
         for c in marker_cols:
             cell = cells[c]
@@ -156,9 +166,10 @@ def _load_construct_code(args) -> linear.LinearCode:
 
 
 def cmd_construct(args) -> int:
-    sweep_budget = args.budget if args.budget else DEFAULT_CONSTRUCT_BUDGET
-    dist_budget = args.budget if args.budget else linear.DEFAULT_DISTANCE_BUDGET
-    search_budget = args.budget if args.budget else linear.DEFAULT_SEARCH_BUDGET
+    given = args.budget is not None
+    sweep_budget = args.budget if given else DEFAULT_CONSTRUCT_BUDGET
+    dist_budget = args.budget if given else linear.DEFAULT_DISTANCE_BUDGET
+    search_budget = args.budget if given else linear.DEFAULT_SEARCH_BUDGET
 
     code = _load_construct_code(args)
     dm = linear.min_distance(code, dist_budget)
@@ -225,7 +236,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    budget = args.budget if args.budget else perms.DEFAULT_VERIFY_BUDGET
+    budget = args.budget if args.budget is not None else perms.DEFAULT_VERIFY_BUDGET
     n, size, dval, rows = perms.read_permutation_code(args.file)
     recomputed = perms.code_min_distance(rows, budget)
     problems: list[str] = []
@@ -360,7 +371,7 @@ def cmd_field(args) -> int:
 
 
 def cmd_code_search(args) -> int:
-    budget = args.budget if args.budget else linear.DEFAULT_DISTANCE_BUDGET
+    budget = args.budget if args.budget is not None else linear.DEFAULT_DISTANCE_BUDGET
     code = linear.random_code_search(
         args.n, args.k, args.d, args.q, args.seed, args.trials, budget
     )
@@ -412,7 +423,7 @@ def build_parser() -> _Parser:
         "--gamma", choices=("exact", "greedy", "lift", "identity"), default="exact"
     )
     p.add_argument("--seed", type=int)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_count)
     p.add_argument(
         "--no-ones-row",
         dest="ones_row",
@@ -427,7 +438,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="re-check a permutation code file")
     p.add_argument("file")
     p.add_argument("--d", type=int)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_count)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("compare", help="ratio studies between bounds")
@@ -455,8 +466,8 @@ def build_parser() -> _Parser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--trials", type=_count, default=1000)
+    p.add_argument("--budget", type=_count)
     p.add_argument("--out")
     p.set_defaults(func=cmd_code_search)
 

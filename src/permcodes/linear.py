@@ -9,7 +9,6 @@ successive codeword is obtained by adding a single precomputed row delta.
 
 from __future__ import annotations
 
-import itertools
 import random
 from pathlib import Path
 
@@ -54,9 +53,6 @@ class MatrixGF:
     @property
     def ncols(self) -> int:
         return len(self.rows[0])
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.rows[i]
 
     def __eq__(self, other) -> bool:
         return (
@@ -152,35 +148,18 @@ class LinearCode:
 # Codeword enumeration
 
 
-def codewords(code: LinearCode, budget: int = 10**6):
-    """Yield all q^k codewords (zero included) as tuples of codes."""
-    spec = code.spec
-    q = spec.q
-    if q**code.k > budget:
-        raise BudgetExceeded(f"{q}^{code.k} codewords exceed budget {budget}")
-    add, mul, _, _ = spec.tables()
-    rows = code.generator.rows
-    n = code.n
-    scaled = [[[mul[c][x] for x in row] for c in range(q)] for row in rows]
-    for msg in itertools.product(range(q), repeat=code.k):
-        v = [0] * n
-        for c, srow in zip(msg, scaled):
-            if c:
-                sc = srow[c]
-                v = [add[x][y] for x, y in zip(v, sc)]
-        yield tuple(v)
+def _class_reps(code: LinearCode):
+    """Yield one nonzero codeword per scalar class, in message product order.
 
-
-def _weight_scan(code: LinearCode, collect_set: bool) -> tuple[int, set[int]]:
-    """Exact scan of all nonzero codewords up to scalar multiples.
-
-    Returns (min weight, set of weights seen).  Weights of nonzero codewords
-    are invariant under scalar multiplication, so scanning one representative
-    per class (first nonzero message coordinate = 1) is exhaustive.
+    The representative of a class is the word whose first nonzero message
+    coordinate is 1.  Leads run from the last message position to the first
+    and the later coordinates count like an odometer, so each word is the
+    previous one plus a single precomputed row delta.  Weights are invariant
+    under scalar multiplication, so the walk is exhaustive for them.  The
+    yielded lists are never mutated afterwards.
     """
     spec = code.spec
     q = spec.q
-    n = code.n
     add, mul, neg, _ = spec.tables()
     rows = [list(r) for r in code.generator.rows]
     k = len(rows)
@@ -199,24 +178,14 @@ def _weight_scan(code: LinearCode, collect_set: bool) -> tuple[int, set[int]]:
         step_maps.append(steps)
         wrap_maps.append([add[neg[x]] for x in scaled[q - 1]])
 
-    best = n
-    weights: set[int] = set()
-    for lead in range(k):
-        v = rows[lead][:]
-        w = n - v.count(0)
-        if collect_set:
-            weights.add(w)
-        if w < best:
-            best = w
-            if best <= 1 and not collect_set:
-                return best, weights
+    qm1 = q - 1
+    for lead in range(k - 1, -1, -1):
+        v = rows[lead]
+        yield v
         t = k - 1 - lead
-        if t == 0:
-            continue
         digits = [0] * t
         smaps = step_maps[lead + 1 :]
         wmaps = wrap_maps[lead + 1 :]
-        qm1 = q - 1
         while True:
             i = t - 1
             while i >= 0 and digits[i] == qm1:
@@ -227,14 +196,7 @@ def _weight_scan(code: LinearCode, collect_set: bool) -> tuple[int, set[int]]:
                 break
             v = [m[x] for m, x in zip(smaps[i][digits[i]], v)]
             digits[i] += 1
-            w = n - v.count(0)
-            if collect_set:
-                weights.add(w)
-            if w < best:
-                best = w
-                if best <= 1 and not collect_set:
-                    return best, weights
-    return best, weights
+            yield v
 
 
 def min_distance(code: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) -> int:
@@ -245,7 +207,14 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) -> int
         raise BudgetExceeded(
             f"{code.spec.q}^{code.k} messages exceed budget {budget}"
         )
-    best, _ = _weight_scan(code, collect_set=False)
+    n = code.n
+    best = n
+    for v in _class_reps(code):
+        w = n - v.count(0)
+        if w < best:
+            best = w
+            if best <= 1:
+                break
     code._dmin = best
     return best
 
@@ -256,9 +225,9 @@ def nonzero_weight_set(code: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) 
         raise BudgetExceeded(
             f"{code.spec.q}^{code.k} messages exceed budget {budget}"
         )
-    best, weights = _weight_scan(code, collect_set=True)
+    weights = {code.n - v.count(0) for v in _class_reps(code)}
     if code._dmin is None:
-        code._dmin = best
+        code._dmin = min(weights)
     return weights
 
 
@@ -302,20 +271,6 @@ def in_dual(code: LinearCode, vec: tuple[int, ...]) -> bool:
             if x and y:
                 acc = add[acc][mul[x][y]]
         if acc:
-            return False
-    return True
-
-
-def check_columns_independent(matrix: MatrixGF, t: int) -> bool:
-    """True iff every t-subset of columns is linearly independent."""
-    if not 1 <= t <= matrix.nrows:
-        raise ParameterError(f"need 1 <= t <= {matrix.nrows}, got {t}")
-    spec = matrix.spec
-    rows = matrix.rows
-    n = matrix.ncols
-    for cols in itertools.combinations(range(n), t):
-        sub = [[row[c] for c in cols] for row in rows]
-        if _rank(sub, spec) != t:
             return False
     return True
 
@@ -412,9 +367,7 @@ def find_full_weight_dual_codeword(
                 return wt
 
     if q ** (n - k) <= budget:
-        for cw in codewords(dual(code), budget=budget):
-            if all(cw):
-                return cw
+        return next((tuple(v) for v in _class_reps(dual(code)) if all(v)), None)
     return None
 
 

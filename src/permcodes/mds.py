@@ -1,4 +1,4 @@
-"""MDS code families and exact MDS/dual-MDS verification.
+"""MDS code families: Reed-Solomon and extended Reed-Solomon codes.
 
 Reed-Solomon codes evaluate polynomials of degree < k at the first n field
 elements in canonical code order (so the point set always starts 0, 1, ...).
@@ -8,15 +8,9 @@ length q+1.
 
 from __future__ import annotations
 
-from .errors import BudgetExceeded, ParameterError
+from .errors import ParameterError
 from .gf import FieldSpec, field_make
-from .linear import (
-    DEFAULT_DISTANCE_BUDGET,
-    LinearCode,
-    check_columns_independent,
-    dual,
-    min_distance,
-)
+from .linear import LinearCode
 
 
 def _power_rows(spec: FieldSpec, points: list[int], k: int) -> list[list[int]]:
@@ -51,24 +45,4 @@ def extended_rs(q: int, k: int) -> LinearCode:
     for i, row in enumerate(g):
         row.append(1 if i == k - 1 else 0)
     return LinearCode(spec, g)
-
-
-def is_mds(code: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) -> bool:
-    """Exact check d == n - k + 1 by enumeration."""
-    return min_distance(code, budget) == code.n - code.k + 1
-
-
-def verify_dual_mds(code: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) -> bool:
-    """Exact check that the dual code is MDS (dual distance == k + 1).
-
-    Enumerates the dual when q^(n-k) fits the budget; otherwise decides via
-    column independence of the dual's parity check (the primal generator):
-    dual distance >= k+1 iff every k columns are independent, and Singleton
-    caps it at k+1, so the criterion is exact as well.
-    """
-    want = code.k + 1
-    try:
-        return min_distance(dual(code), budget) == want
-    except BudgetExceeded:
-        return check_columns_independent(code.generator, code.k)
 

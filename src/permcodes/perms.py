@@ -32,7 +32,6 @@ from .errors import (
     SpecMismatch,
     VerificationFailed,
 )
-from .gf import FieldSpec
 from .linear import (
     LinearCode,
     MatrixGF,
@@ -64,23 +63,11 @@ def compose(f: Perm, g: Perm) -> Perm:
     return tuple(f[x - 1] for x in g)
 
 
-def inverse(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x - 1] = i + 1
-    return tuple(out)
-
-
 def perm_hamming(a: Perm, b: Perm) -> int:
     """Number of positions where the permutations disagree."""
     if len(a) != len(b):
         raise LengthMismatch("permutations act on different sets")
     return sum(1 for x, y in zip(a, b) if x != y)
-
-
-def all_permutations(n: int):
-    """All of S_n in lexicographic order."""
-    return itertools.permutations(range(1, n + 1))
 
 
 class PermutationCode:
@@ -109,9 +96,6 @@ class PermutationCode:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def __contains__(self, p) -> bool:
-        return tuple(p) in set(self.members)
 
     def __repr__(self) -> str:
         d = self._dmin
@@ -287,16 +271,6 @@ def phi(perm: Perm, check: MatrixGF) -> tuple[int, ...]:
     return tuple(out)
 
 
-def label_sum(n: int, spec: FieldSpec) -> int:
-    """Code of the sum over i in 1..n of the labels i mod q; first syndrome
-    coordinate under an all-ones check row, identical for every permutation."""
-    add = spec.tables()[0]
-    acc = 0
-    for i in range(1, n + 1):
-        acc = add[acc][i % spec.q]
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # The construction
 
@@ -427,7 +401,7 @@ def construct_permutation_code(
 
 
 # ---------------------------------------------------------------------------
-# Exact clique machinery (shared by the small-case oracles)
+# Exact clique machinery
 
 
 def _greedy_orders(n: int, neigh: list[int]) -> list[list[int]]:
@@ -583,10 +557,6 @@ def max_binary_code(r: int, d: int, budget: int = MAX_CLIQUE_VERTICES) -> tuple[
     return len(chosen), witness
 
 
-def default_lift_pairs(r: int) -> tuple[tuple[int, int], ...]:
-    return tuple((2 * i + 1, 2 * i + 2) for i in range(r))
-
-
 def involution_pairs(spec: ResidueSubgroupSpec) -> tuple[tuple[int, int], ...]:
     """The 2-element orbits of a subgroup shaped like (S_2)^r.
 
@@ -603,25 +573,20 @@ def involution_pairs(spec: ResidueSubgroupSpec) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(pairs))
 
 
-def binary_lift(bits, n: int | None = None, pairs=None) -> Perm:
-    """Lift a bit vector to a product of disjoint transpositions.
+def binary_lift(bits, n: int, pairs) -> Perm:
+    """Lift a bit vector to a product of disjoint transpositions of 1..n.
 
-    Bit i = 1 applies the i-th transposition pair; the default pairs are
-    (1,2), (3,4), ... on n = 2*len(bits) points.  Distances double: lifted
+    Bit i = 1 applies the i-th transposition pair.  Distances double: lifted
     words at binary distance t sit at permutation distance 2t.
     """
     bits = tuple(bits)
     r = len(bits)
-    if pairs is None:
-        pairs = default_lift_pairs(r)
     pairs = tuple(tuple(p) for p in pairs)
     if len(pairs) != r:
         raise ParameterError(f"{r} bits need {r} pairs, got {len(pairs)}")
     flat = [x for p in pairs for x in p]
     if len(set(flat)) != len(flat):
         raise ParameterError("transposition pairs overlap")
-    if n is None:
-        n = max(flat)
     if any(not 1 <= x <= n for x in flat):
         raise ParameterError(f"pair entries must lie in 1..{n}")
     img = list(range(1, n + 1))
@@ -650,28 +615,6 @@ def lift_code_into_K(
     size, witness = max_binary_code(r, need)
     lifted = [binary_lift(bits, n=spec.n, pairs=pairs) for bits in witness]
     return PermutationCode(spec.n, lifted), size
-
-
-# ---------------------------------------------------------------------------
-# Tiny-n exact oracle
-
-
-def brute_force_max_code(n: int, d: int, budget: int = 120) -> PermutationCode:
-    """Exact maximum permutation code in S_n, witness included (tiny n only)."""
-    if math.factorial(n) > budget:
-        raise BudgetExceeded(f"{n}! exceeds budget {budget}")
-    if d < 1 or d > n:
-        raise ParameterError(f"need 1 <= d <= n, got d={d}")
-    ident = identity_perm(n)
-    cands = [p for p in all_permutations(n) if perm_hamming(p, ident) >= d]
-    neigh = _distance_graph(cands, d)
-    clique = _max_clique(neigh)
-    return PermutationCode(n, [ident] + [cands[v] for v in clique])
-
-
-def brute_force_M(n: int, d: int, budget: int = 120) -> int:
-    """Exact M(n, d) for tiny n."""
-    return brute_force_max_code(n, d, budget).size
 
 
 # ---------------------------------------------------------------------------

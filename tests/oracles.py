@@ -1,17 +1,32 @@
 """Shared brute-force oracles used across the test modules.
 
-Everything here enumerates directly with plain pair loops or with field
-arithmetic from sympy's galoistools; none of it reuses the scan loops or the
-GF tables inside the package, so agreement between the two is evidence, not
-tautology.
+The oracle_* helpers enumerate directly with plain pair loops or with field
+arithmetic from sympy's galoistools; none of them reuses the scan loops or
+the GF tables inside the package, so agreement between the two is evidence,
+not tautology.
+
+The helpers after them (exact small-case maxima, dual-MDS checks) do reuse
+package code: the clique search, the distance scan and row reduction.  They
+are reference computations that only the tests need.
 """
 
 import functools
 import itertools
+import math
 import random
 
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_mul, gf_rem, gf_strip
+
+from permcodes.errors import BudgetExceeded, ParameterError
+from permcodes.linear import DEFAULT_DISTANCE_BUDGET, MatrixGF, dual, min_distance, rref
+from permcodes.perms import (
+    PermutationCode,
+    _distance_graph,
+    _max_clique,
+    identity_perm,
+    perm_hamming,
+)
 
 
 def _to_poly(spec, code):
@@ -64,6 +79,15 @@ def oracle_weights(code):
     return {
         code.n - w.count(0) for w in oracle_codewords(code) if any(x != 0 for x in w)
     }
+
+
+def oracle_label_sum(n, spec):
+    """Sum over i in 1..n of the labels i mod q: the first syndrome coordinate
+    under an all-ones check row, the same for every permutation."""
+    acc = 0
+    for i in range(1, n + 1):
+        acc = oracle_add(spec, acc, i % spec.q)
+    return acc
 
 
 def oracle_perm_distance(a, b):
@@ -140,3 +164,51 @@ def oracle_largest_bucket(gamma, check, n, q):
             buckets.setdefault(oracle_syndrome(t, check), []).append(t)
     syn = min(buckets, key=lambda s: (-len(buckets[s]), s))
     return syn, sorted(buckets[syn])
+
+
+# ---------------------------------------------------------------------------
+# Reference computations built on package code
+
+
+def brute_force_max_code(n, d, budget=120):
+    """Exact maximum permutation code in S_n, witness included (tiny n only)."""
+    if math.factorial(n) > budget:
+        raise BudgetExceeded(f"{n}! exceeds budget {budget}")
+    if d < 1 or d > n:
+        raise ParameterError(f"need 1 <= d <= n, got d={d}")
+    ident = identity_perm(n)
+    cands = [
+        p for p in itertools.permutations(range(1, n + 1)) if perm_hamming(p, ident) >= d
+    ]
+    clique = _max_clique(_distance_graph(cands, d))
+    return PermutationCode(n, [ident] + [cands[v] for v in clique])
+
+
+def brute_force_M(n, d, budget=120):
+    """Exact M(n, d) for tiny n."""
+    return brute_force_max_code(n, d, budget).size
+
+
+def check_columns_independent(matrix, t):
+    """True iff every t-subset of columns is linearly independent."""
+    if not 1 <= t <= matrix.nrows:
+        raise ParameterError(f"need 1 <= t <= {matrix.nrows}, got {t}")
+    for cols in itertools.combinations(range(matrix.ncols), t):
+        sub = MatrixGF(matrix.spec, [[row[c] for c in cols] for row in matrix.rows])
+        if rref(sub)[1] != t:
+            return False
+    return True
+
+
+def verify_dual_mds(code, budget=DEFAULT_DISTANCE_BUDGET):
+    """Exact check that the dual code is MDS (dual distance == k + 1).
+
+    Enumerates the dual when q^(n-k) fits the budget; otherwise decides via
+    column independence of the dual's parity check (the primal generator):
+    dual distance >= k+1 iff every k columns are independent, and Singleton
+    caps it at k+1, so the criterion is exact as well.
+    """
+    try:
+        return min_distance(dual(code), budget) == code.k + 1
+    except BudgetExceeded:
+        return check_columns_independent(code.generator, code.k)

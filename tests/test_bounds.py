@@ -211,8 +211,7 @@ def test_threshold_values():
 
 
 def test_bound_report_cells():
-    report = bound_report(11, 6)
-    cells = report.cells()
+    cells = bound_report(11, 6)
     assert cells["old"].rounded == 2727
     assert cells["mds"].rounded == 2727
     assert not cells["mds+1"].applicable
@@ -224,7 +223,7 @@ def test_bound_report_sane_ordering():
     # every applicable lower bound stays below every applicable upper bound
     for n in (6, 9, 12):
         for d in range(3, n):
-            cells = bound_report(n, d).cells()
+            cells = bound_report(n, d)
             uppers = [cells[c].value for c in ("sphere", "singleton") if cells[c].applicable]
             lowers = [cells[c].value for c in ("gv", "old", "mds", "mds+1") if cells[c].applicable]
             for lo in lowers:

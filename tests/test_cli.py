@@ -228,6 +228,23 @@ def test_verify_budget_counts_projection_keys(tmp_path, capsys):
     assert rc == 0 and out.endswith("distance: 2\nPASS\n")
 
 
+@pytest.mark.parametrize("cmd,flag,value", [
+    ("construct", "--budget", "0"), ("construct", "--budget", "-1"),
+    ("verify", "--budget", "0"), ("verify", "--budget", "-1"),
+    ("code-search", "--budget", "0"), ("code-search", "--trials", "0"),
+    ("code-search", "--trials", "-5"), ("construct", "--budget", "many"),
+])
+def test_budget_and_trials_must_be_positive_integers(tmp_path, capsys, cmd, flag, value):
+    pc = tmp_path / "pc.txt"
+    pc.write_text("4 3 2\n1 2 3 4\n2 1 3 4\n1 2 4 3\n")
+    base = {"construct": ["--d", "3", "--q", "7", "--n", "6", "--k", "4", "--seed", "7"],
+            "verify": [str(pc)],
+            "code-search": ["--n", "6", "--k", "2", "--d", "4", "--q", "4", "--seed", "3"]}
+    rc, out, err = run(capsys, cmd, *base[cmd], flag, value)
+    want = "invalid int value: 'many'" if value == "many" else f"must be at least 1, got {value}"
+    assert (rc, out, err) == (1, "", f"usage error: argument {flag}: {want}\n")
+
+
 def test_compare_new_vs_old(capsys):
     rc, out, _ = run(capsys, "compare", "--mode", "new-vs-old",
                      "--n", "10,11,12", "--d", "6")

@@ -1,11 +1,12 @@
 """Linear code machinery against small brute-force oracles.
 
-The oracle below enumerates the full message space with plain field
-arithmetic and never touches the scan used by min_distance, so agreement is
+The oracles enumerate the full message space with plain field arithmetic
+and never touch the codeword walk used by min_distance, so agreement is
 meaningful.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -21,8 +22,7 @@ from permcodes.gf import field_make
 from permcodes.linear import (
     LinearCode,
     MatrixGF,
-    check_columns_independent,
-    codewords,
+    _class_reps,
     dual,
     find_full_weight_dual_codeword,
     in_dual,
@@ -39,7 +39,13 @@ from permcodes.linear import (
 )
 from permcodes.mds import extended_rs, reed_solomon
 
-from oracles import oracle_codewords, oracle_min_distance, oracle_weights
+from oracles import (
+    check_columns_independent,
+    oracle_codewords,
+    oracle_min_distance,
+    oracle_mul,
+    oracle_weights,
+)
 
 
 SMALL_CODES = [
@@ -67,13 +73,20 @@ def test_weight_set_matches_oracle(name, make):
 
 @pytest.mark.parametrize("name,make", SMALL_CODES, ids=[n for n, _ in SMALL_CODES])
 def test_codewords_match_oracle(name, make):
+    # the walk meets the messages with first nonzero coordinate 1 in product
+    # order, and their multiples by nonzero scalars, with zero, are the code
     code = make()
-    assert sorted(codewords(code)) == sorted(oracle_codewords(code))
+    spec, words = code.spec, oracle_codewords(code)
+    msgs = itertools.product(range(spec.q), repeat=code.k)
+    reps = [tuple(v) for v in _class_reps(code)]
+    assert reps == [w for m, w in zip(msgs, words) if next((c for c in m if c), 0) == 1]
+    every = [tuple(oracle_mul(spec, c, x) for x in v) for v in reps for c in range(1, spec.q)]
+    assert sorted(every + [(0,) * code.n]) == sorted(words)
 
 
 def test_codeword_count_and_distance_cache():
     code = reed_solomon(5, 4, 2)
-    assert len(list(codewords(code))) == 25
+    assert (code.spec.q - 1) * len(list(_class_reps(code))) + 1 == 25
     assert code.d is None
     got = min_distance(code)
     assert code.d == got == 3
@@ -117,7 +130,7 @@ def test_parity_check_annihilates_generator():
 def test_dual_of_dual_is_original():
     code = reed_solomon(5, 4, 2)
     dd = dual(dual(code))
-    assert sorted(codewords(dd)) == sorted(codewords(code))
+    assert sorted(oracle_codewords(dd)) == sorted(oracle_codewords(code))
 
 
 def test_dual_dimensions():
@@ -128,7 +141,7 @@ def test_dual_dimensions():
 
 def test_in_dual():
     code = reed_solomon(7, 6, 2)
-    for w in codewords(dual(code)):
+    for w in oracle_codewords(dual(code)):
         assert in_dual(code, w)
     assert not in_dual(code, tuple(code.generator.rows[0]))
     with pytest.raises(DimensionMismatch):
@@ -195,6 +208,32 @@ def test_full_weight_search_honest_none():
     code = extended_rs(4, 3)
     assert oracle_weights(dual(code)) == {4}
     assert find_full_weight_dual_codeword(code, seed=1) is None
+
+
+def test_full_weight_fallback_returns_first_word_in_message_order():
+    # codes the randomized route skips (k > q - 2, or a zero row in the
+    # non-pivot block) and the exhaustive one takes (q^(n-k) <= 10^4)
+    codes = [reed_solomon(q, q, q - 1) for q in (2, 3, 4, 5, 7, 8, 9)]
+    codes += [extended_rs(q, k) for q in (3, 4, 5, 7, 8, 9) for k in (q - 1, q)]
+    rng = random.Random(2024)
+    for q, n, k in [(2, 8, 4), (2, 10, 3), (3, 7, 3), (3, 8, 2), (4, 7, 3), (4, 8, 3),
+                    (5, 7, 4), (5, 6, 4), (5, 7, 2), (7, 6, 2), (8, 6, 3)] * 3:
+        g = [[int(i == j) for j in range(k)] + [rng.randrange(q) for _ in range(n - k)]
+             for i in range(k)]
+        if k <= q - 2:
+            g[rng.randrange(k)][k:] = [0] * (n - k)
+        codes.append(LinearCode(field_make(q), g))
+    found = 0
+    for code in codes:
+        q, n, k = code.spec.q, code.n, code.k
+        assert q ** (n - k) <= 10**4
+        r, _, pivots = rref(code.generator)
+        a_block = [[row[j] for j in range(n) if j not in pivots] for row in r.rows]
+        assert k > q - 2 or not all(any(row) for row in a_block)
+        want = next((w for w in oracle_codewords(dual(code)) if all(w)), None)
+        assert find_full_weight_dual_codeword(code, seed=1) == want, code
+        found += want is not None
+    assert found >= 20
 
 
 def test_check_columns_independent_matches_subset_rank():

@@ -4,17 +4,23 @@ import pytest
 
 from permcodes.errors import ParameterError
 from permcodes.gf import field_make
-from permcodes.linear import LinearCode, dual, min_distance, nonzero_weight_set
-from permcodes.mds import extended_rs, is_mds, reed_solomon, verify_dual_mds
+from permcodes.linear import (
+    LinearCode,
+    dual,
+    min_distance,
+    nonzero_weight_set,
+    singleton_defect,
+)
+from permcodes.mds import extended_rs, reed_solomon
 
-from oracles import oracle_min_distance, oracle_weights
+from oracles import oracle_min_distance, oracle_weights, verify_dual_mds
 
 
 def test_rs_shape_and_distance():
     code = reed_solomon(7, 6, 4)
     assert (code.n, code.k) == (6, 4)
     assert min_distance(code) == 3  # n - k + 1
-    assert is_mds(code)
+    assert singleton_defect(code) == 0
 
 
 def test_rs_points_start_at_zero():
@@ -46,7 +52,7 @@ def test_extended_rs_shape_and_distance():
     code = extended_rs(5, 3)
     assert (code.n, code.k) == (6, 3)
     assert min_distance(code) == 4  # q - k + 2
-    assert is_mds(code)
+    assert singleton_defect(code) == 0
     assert verify_dual_mds(code)
 
 

@@ -3,7 +3,7 @@
 The frozen maximum-code sizes below are pinned independently of the clique
 engine: a concrete group witness provides the lower bound and the factorial
 upper bound n!/(d-1)! provides the matching cap, so each equality is forced
-before brute_force_M is ever consulted.
+before oracles.brute_force_M is ever consulted.
 """
 
 import itertools
@@ -36,19 +36,13 @@ from permcodes.mds import extended_rs, reed_solomon
 from permcodes.perms import (
     PermutationCode,
     ResidueSubgroupSpec,
-    all_permutations,
     binary_lift,
-    brute_force_M,
-    brute_force_max_code,
     code_min_distance,
     compose,
     construct_permutation_code,
     coset_representatives,
-    default_lift_pairs,
     identity_perm,
-    inverse,
     involution_pairs,
-    label_sum,
     lift_code_into_K,
     max_binary_code,
     max_code_in_K,
@@ -61,9 +55,12 @@ from permcodes.perms import (
 )
 
 from oracles import (
+    brute_force_M,
+    brute_force_max_code,
     oracle_code_distance,
     oracle_coset_representatives,
     oracle_greedy_code,
+    oracle_label_sum,
     oracle_largest_bucket,
     oracle_max_subset_size,
     oracle_perm_distance,
@@ -72,6 +69,10 @@ from oracles import (
 
 # ---------------------------------------------------------------------------
 # group basics
+
+
+def inverse(p):
+    return tuple(p.index(i) + 1 for i in range(1, len(p) + 1))
 
 
 def test_compose_and_inverse():
@@ -91,16 +92,11 @@ def test_perm_hamming():
 
 def test_distance_is_right_invariant():
     # exhaustive over S_3 triples, sampled pairs in S_4
-    s3 = list(all_permutations(3))
+    s3 = list(itertools.permutations(range(1, 4)))
     for a in s3:
         for b in s3:
             for t in s3:
                 assert perm_hamming(compose(a, t), compose(b, t)) == perm_hamming(a, b)
-
-
-def test_all_permutations_count():
-    assert len(list(all_permutations(4))) == 24
-    assert sorted(all_permutations(3))[0] == (1, 2, 3)
 
 
 def test_permutation_code_validation():
@@ -115,7 +111,7 @@ def test_permutation_code_validation():
 
 
 def test_code_min_distance_against_pair_loop():
-    members = [p for p in all_permutations(4) if p[0] != 2]
+    members = [p for p in itertools.permutations(range(1, 5)) if p[0] != 2]
     assert code_min_distance(members) == oracle_code_distance(members)
     assert code_min_distance([(1, 2, 3)]) == math.inf
     assert code_min_distance([]) == math.inf
@@ -157,7 +153,7 @@ def test_code_min_distance_matches_pair_loop(rows):
 
 def alternating_group(n):
     out = []
-    for p in all_permutations(n):
+    for p in itertools.permutations(range(1, n + 1)):
         inv = sum(
             1
             for i in range(n)
@@ -257,7 +253,7 @@ def test_subgroup_enumeration_matches_membership():
         spec = ResidueSubgroupSpec.for_params(n, q)
         K = subgroup_K(spec)
         assert K.size == spec.order
-        expect = {p for p in all_permutations(n) if spec.contains(p)}
+        expect = {p for p in itertools.permutations(range(1, n + 1)) if spec.contains(p)}
         assert set(K.members) == expect
         # closed under composition and inverse (it really is a subgroup)
         mem = set(K.members)
@@ -310,11 +306,11 @@ def test_coset_budget_counts_cosets():
 def test_label_sum_is_constant_over_permutations():
     fspec = field_make(5)
     n = 6
-    want = label_sum(n, fspec)
+    want = oracle_label_sum(n, fspec)
     # the multiset of labels is permutation-invariant, so any reordering sums
     # to the same field element; spot check directly
     add = fspec.tables()[0]
-    for p in list(all_permutations(n))[:24]:
+    for p in list(itertools.permutations(range(1, n + 1)))[:24]:
         acc = 0
         for i in p:
             acc = add[acc][i % 5]
@@ -329,8 +325,8 @@ def test_phi_respects_check_matrix_shape():
 
     h = parity_check_with_ones_row(norm)
     fspec = norm.spec
-    want_first = label_sum(6, fspec)
-    for p in list(all_permutations(6))[:40]:
+    want_first = oracle_label_sum(6, fspec)
+    for p in list(itertools.permutations(range(1, 7)))[:40]:
         syn = phi(p, h)
         assert len(syn) == h.nrows
         assert syn[0] == want_first
@@ -374,20 +370,21 @@ def test_binary_lift_doubles_distances_exhaustively():
     for r in (1, 2, 3, 4):
         n = 2 * r
         words = list(itertools.product((0, 1), repeat=r))
-        lifted = [binary_lift(w, n=n) for w in words]
+        pairs = [(2 * i + 1, 2 * i + 2) for i in range(r)]
+        lifted = [binary_lift(w, n, pairs) for w in words]
         for (wa, pa), (wb, pb) in itertools.combinations(zip(words, lifted), 2):
             bin_d = sum(x != y for x, y in zip(wa, wb))
             assert perm_hamming(pa, pb) == 2 * bin_d
 
 
 def test_binary_lift_validation():
-    assert binary_lift((1, 0), n=4) == (2, 1, 3, 4)
-    assert binary_lift((1, 1), n=4) == (2, 1, 4, 3)
+    pairs = ((1, 2), (3, 4))
+    assert binary_lift((1, 0), 4, pairs) == (2, 1, 3, 4)
+    assert binary_lift((1, 1), 4, pairs) == (2, 1, 4, 3)
     with pytest.raises(ParameterError):
-        binary_lift((1, 0), n=4, pairs=((1, 2), (2, 3)))  # overlapping pairs
+        binary_lift((1, 0), 4, ((1, 2), (2, 3)))  # overlapping pairs
     with pytest.raises(ParameterError):
-        binary_lift((2,), n=2)  # not a bit
-    assert default_lift_pairs(3) == ((1, 2), (3, 4), (5, 6))
+        binary_lift((2,), 2, ((1, 2),))  # not a bit
 
 
 def test_involution_pairs():
@@ -521,7 +518,7 @@ def test_syndrome_buckets_partition_the_sweep():
     assert len(distinct) == 720
     # ones-row check: all syndromes share the forced first coordinate
     firsts = {syn[0] for syn in buckets}
-    assert firsts == {label_sum(6, work.spec)}
+    assert firsts == {oracle_label_sum(6, work.spec)}
 
 
 def build_subgroup_case(q, n, k, d, seed):
