@@ -9,7 +9,9 @@ The central construction takes an [n, k, d]_q code whose parity check matrix
 starts with the all-ones row, buckets a union of subgroup-coset translates by
 the syndrome of the label map i -> (i mod q), and keeps the largest bucket.
 Each bucket is a permutation code of minimum distance at least d, and the
-largest one is at least as big as the pigeonhole floor.
+largest one is at least as big as the pigeonhole floor.  The bucket sizes
+come from a DP over positions that counts cosets per syndrome without
+building any; only the largest bucket's members are ever built.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from pathlib import Path
 from .bounds import general_firstbound
 from .errors import (
     BudgetExceeded,
-    DimensionMismatch,
     LengthMismatch,
     ParameterError,
     ParseError,
@@ -220,55 +221,168 @@ def subgroup_K(spec: ResidueSubgroupSpec, budget: int = DEFAULT_SUBGROUP_BUDGET)
     return pc
 
 
-def coset_representatives(n: int, q: int, budget: int = DEFAULT_SWEEP_BUDGET) -> list[Perm]:
-    """The lexicographically first member of each right coset of K, in lex order.
-
-    Right cosets of K are exactly the level sets of the residue vector
-    (sigma(1) mod q, ..., sigma(n) mod q).  Each position takes the smallest
-    free value of some residue class; trying the classes by that value gives
-    the first member of every coset, in order.  The budget counts cosets.
-    """
-    count = math.factorial(n) // ResidueSubgroupSpec.for_params(n, q).order
-    if count > budget:
-        raise BudgetExceeded(f"{count} cosets exceed budget {budget}")
-    reps: list[Perm] = []
-
-    def extend(prefix: Perm, free: Perm) -> None:
-        if len(free) == 1:
-            reps.append(prefix + free)
-            return
-        seen = set()
-        for i, v in enumerate(free):
-            if v % q not in seen:
-                seen.add(v % q)
-                extend(prefix + (v,), free[:i] + free[i + 1 :])
-
-    extend((), identity_perm(n))
-    return reps
-
-
 # ---------------------------------------------------------------------------
-# Labels and syndrome
+# Syndromes of the cosets of K
 
 
-def phi(perm: Perm, check: MatrixGF) -> tuple[int, ...]:
-    """Syndrome of the label vector: position i carries the element code
-    sigma(i) mod q."""
-    spec = check.spec
-    q = spec.q
-    if len(perm) != check.ncols:
-        raise DimensionMismatch("permutation length differs from matrix width")
-    add, mul, _, _ = spec.tables()
-    out = []
-    for row in check.rows:
-        acc = 0
-        for h, x in zip(row, perm):
-            if h:
-                label = x % q
-                if label:
-                    acc = add[acc][mul[h][label]]
-        out.append(acc)
-    return tuple(out)
+class SyndromeTable:
+    """Coset counts per syndrome by a DP over positions, and the members of
+    any one syndrome class by a DFS that the counts guide.
+
+    Position i carries the label sigma(i) mod q.  Every g in K keeps
+    residues, so the right cosets of K are the arrangements of the label
+    multiset, and a coset's syndrome is the sum over positions of
+    column_i * label.  No coset has to be built to count them:
+
+    * a state is the multiset of labels still to place, one count per
+      residue class packed in mixed radix; with L labels left, the next
+      position is n - L;
+    * ``tables[state]`` is a sparse {suffix syndrome: arrangements} dict,
+      the syndrome packed as a big-endian base-q index, so that integer
+      order is tuple order;
+    * the shift v -> v + label * column_i is cached per (position, label),
+      for the indices the DP reaches only.
+
+    A state holds no more entries than it has label suffixes, and no suffix
+    length has more of them than there are cosets, so the tables hold at
+    most 1 + n * (n! / |K|) entries, however large q^r is.  With ones_row the first
+    check row is skipped: its value is the label sum, the same for every
+    permutation, and it is prepended to every key of ``counts``.
+    """
+
+    def __init__(self, check: MatrixGF, ones_row: bool) -> None:
+        spec = check.spec
+        q, n = spec.q, check.ncols
+        self._add, self._mul, self._neg, _ = spec.tables()
+        self.q, self.check = q, check
+        rows = check.rows[1:] if ones_row else check.rows
+        self._columns = [tuple(row[i] for row in rows) for i in range(n)]
+        self._width = len(rows)
+        label_sum = 0
+        for v in range(1, n + 1):
+            label_sum = self._add[label_sum][v % q]
+        self._prefix = (label_sum,) if ones_row else ()
+        self._shifts: dict[tuple[int, int], tuple[dict[int, int] | None, int]] = {}
+        # per state, for representatives: (value, state after it, its table,
+        # map and index of -label * column_i) for each move, on first visit
+        self._plans: dict[int, list] = {}
+
+        # (label, class values ascending, radix) per nonempty residue class
+        classes = []
+        radix = 1
+        for c in range(q):
+            values = tuple(range(c or q, n + 1, q))
+            if values:
+                classes.append((c, values, radix))
+                radix *= len(values) + 1
+        # moves[state]: (smallest free value, label, radix) per class with
+        # labels left, by value; tables[state] is built from the tables of
+        # the states one move on, all of them smaller
+        self._moves: list[list[tuple[int, int, int]]] = []
+        self.tables: list[dict[int, int]] = []
+        add_index = self._add_index
+        for state in range(radix):
+            moves, left = [], 0
+            for label, values, rad in classes:
+                rem = state // rad % (len(values) + 1)
+                if rem:
+                    moves.append((values[len(values) - rem], label, rad))
+                    left += rem
+            moves.sort()
+            self._moves.append(moves)
+            out: dict[int, int] = {} if state else {0: 1}
+            get = out.get
+            for _, label, rad in moves:
+                child = self.tables[state - rad]
+                shift, w = self._shift(n - left, label)
+                if shift is None:
+                    for v, cnt in child.items():
+                        out[v] = get(v, 0) + cnt
+                    continue
+                for v, cnt in child.items():
+                    u = shift.get(v)
+                    if u is None:
+                        u = shift[v] = add_index(v, w)
+                    out[u] = get(u, 0) + cnt
+            self.tables.append(out)
+        self.counts: dict[tuple[int, ...], int] = {
+            self._prefix + self._digits(v): cnt for v, cnt in self.tables[-1].items()
+        }
+
+    def _shift(self, i: int, a: int) -> tuple[dict[int, int] | None, int]:
+        """The cached map v -> v + a * column_i and the index of a * column_i;
+        the map is None when that vector is zero."""
+        key = (i, a)
+        got = self._shifts.get(key)
+        if got is None:
+            w = 0
+            for h in self._columns[i]:
+                w = w * self.q + self._mul[a][h]
+            got = self._shifts[key] = ({} if w else None, w)
+        return got
+
+    def _add_index(self, u: int, v: int) -> int:
+        """u + v, digit by digit in GF(q)."""
+        add, q = self._add, self.q
+        out, place = 0, 1
+        for _ in range(self._width):
+            u, x = divmod(u, q)
+            v, y = divmod(v, q)
+            out += add[x][y] * place
+            place *= q
+        return out
+
+    def _digits(self, v: int) -> tuple[int, ...]:
+        digits = []
+        for _ in range(self._width):
+            v, x = divmod(v, self.q)
+            digits.append(x)
+        return tuple(reversed(digits))
+
+    def representatives(self, syndrome) -> list[Perm]:
+        """The lexicographically first member of each coset with this
+        syndrome, in lex order.
+
+        Each position takes the smallest free value of some residue class,
+        classes tried by that value, and a branch is entered only when the
+        table of the labels left still holds the rest of the syndrome: every
+        branch ends in a representative, so the cost scales with the bucket.
+        """
+        syndrome = tuple(syndrome)
+        if syndrome not in self.counts:
+            return []
+        need = 0
+        for x in syndrome[len(self._prefix) :]:
+            need = need * self.q + x
+        tables, plans, add_index = self.tables, self._plans, self._add_index
+        reps: list[Perm] = []
+        prefix: list[int] = []
+
+        def extend(state: int, need: int) -> None:
+            plan = plans.get(state)
+            if plan is None:
+                i = len(prefix)
+                plan = plans[state] = [
+                    (value, state - rad, tables[state - rad], *self._shift(i, self._neg[label]))
+                    for value, label, rad in self._moves[state]
+                ]
+            for value, child, table, shift, w in plan:
+                rest = need
+                if shift is not None:
+                    rest = shift.get(need)
+                    if rest is None:
+                        rest = shift[need] = add_index(need, w)
+                if rest not in table:
+                    continue
+                if child:
+                    prefix.append(value)
+                    extend(child, rest)
+                    prefix.pop()
+                else:
+                    reps.append((*prefix, value))
+
+        extend(len(tables) - 1, need)
+        return reps
 
 
 # ---------------------------------------------------------------------------
@@ -317,21 +431,19 @@ class ConstructionCertificate:
 
 
 def syndrome_buckets(
-    code: LinearCode,
-    assume_ones_row: bool = True,
-    budget: int = DEFAULT_SWEEP_BUDGET,
-) -> tuple[dict[tuple[int, ...], list[Perm]], MatrixGF]:
-    """Bucket the coset representatives of K by syndrome.
+    code: LinearCode, assume_ones_row: bool = True
+) -> tuple[dict[tuple[int, ...], int], SyndromeTable]:
+    """Count the cosets of K in each syndrome class.
 
-    Returns ({syndrome: representatives}, check matrix).  Every g in K keeps
-    residues, so each translate g o rep has the syndrome of rep.  The budget
-    counts cosets.
+    Returns ({syndrome: coset count}, table); ``table.representatives``
+    lists the coset representatives of any one class.  Every g in K keeps
+    residues, so each translate g o rep has the syndrome of rep.  The counts
+    come from a DP over positions (see SyndromeTable) without enumerating
+    the n! / |K| cosets.
     """
     check = parity_check_with_ones_row(code) if assume_ones_row else parity_check(code)
-    buckets: dict[tuple[int, ...], list[Perm]] = {}
-    for rep in coset_representatives(code.n, code.spec.q, budget):
-        buckets.setdefault(phi(rep, check), []).append(rep)
-    return buckets, check
+    table = SyndromeTable(check, assume_ones_row)
+    return table.counts, table
 
 
 def construct_permutation_code(
@@ -370,9 +482,9 @@ def construct_permutation_code(
     if sweep > budget:
         raise BudgetExceeded(f"sweep of {sweep} translates exceeds budget {budget}")
 
-    buckets, _check = syndrome_buckets(code, assume_ones_row, budget)
-    syndrome, reps = min(buckets.items(), key=lambda kv: (-len(kv[1]), kv[0]))
-    bucket = [compose(g, rep) for rep in reps for g in members]
+    counts, table = syndrome_buckets(code, assume_ones_row)
+    syndrome, _ = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    bucket = [compose(g, rep) for rep in table.representatives(syndrome) for g in members]
     verified = code_min_distance(bucket)
     if verified < d:
         raise VerificationFailed(

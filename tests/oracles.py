@@ -141,14 +141,26 @@ def oracle_coset_representatives(n, q):
     return list(seen.values())
 
 
+@functools.cache
+def oracle_tables(spec):
+    """Full add and mul tables from galoistools, for loops too hot for the
+    per-call caches above."""
+    elems = range(spec.q)
+    return (
+        [[oracle_add(spec, a, b) for b in elems] for a in elems],
+        [[oracle_mul(spec, a, b) for b in elems] for a in elems],
+    )
+
+
 def oracle_syndrome(perm, check):
     """Syndrome of the labels sigma(i) mod q, with galoistools arithmetic."""
-    spec = check.spec
+    q = check.spec.q
+    add, mul = oracle_tables(check.spec)
     out = []
     for row in check.rows:
         acc = 0
         for h, x in zip(row, perm):
-            acc = oracle_add(spec, acc, oracle_mul(spec, h, x % spec.q))
+            acc = add[acc][mul[h][x % q]]
         out.append(acc)
     return tuple(out)
 

@@ -188,15 +188,15 @@ def test_criterion_05_every_bucket_is_sound(capsys):
         for name, builder in (("A", build_fixture_a), ("B", build_fixture_b),
                               ("C", build_fixture_c)):
             work, gamma, d, _ = builder()
-            buckets, _check = syndrome_buckets(work, assume_ones_row=True)
+            counts, table = syndrome_buckets(work, assume_ones_row=True)
             forced = oracle_label_sum(work.n, work.spec)
-            for syn, reps in buckets.items():
-                members = [compose(g, rep) for rep in reps for g in gamma]
+            for syn in counts:
+                members = [compose(g, rep) for rep in table.representatives(syn) for g in gamma]
                 assert syn[0] == forced, f"fixture {name}: syndrome {syn} escapes the slice"
                 assert code_min_distance(members) >= d, (
                     f"fixture {name}: bucket {syn} has distance below {d}"
                 )
-            details.append(f"{name}: {len(buckets)} buckets")
+            details.append(f"{name}: {len(counts)} buckets")
         report(5, True, "; ".join(details))
 
 

@@ -41,6 +41,7 @@ from permcodes.mds import extended_rs, reed_solomon
 
 from oracles import (
     check_columns_independent,
+    oracle_add,
     oracle_codewords,
     oracle_min_distance,
     oracle_mul,
@@ -236,19 +237,48 @@ def test_full_weight_fallback_returns_first_word_in_message_order():
     assert found >= 20
 
 
+def oracle_columns_independent(matrix, t):
+    """No nonzero coefficient vector over any t columns sums them to zero,
+    with galoistools arithmetic (no row reduction)."""
+    spec = matrix.spec
+    for cols in itertools.combinations(range(matrix.ncols), t):
+        for coeffs in itertools.product(range(spec.q), repeat=t):
+            if not any(coeffs):
+                continue
+            sums = []
+            for row in matrix.rows:
+                acc = 0
+                for c, j in zip(coeffs, cols):
+                    acc = oracle_add(spec, acc, oracle_mul(spec, c, row[j]))
+                sums.append(acc)
+            if not any(sums):
+                return False
+    return True
+
+
 def test_check_columns_independent_matches_subset_rank():
+    # a t-subset of columns has rank t exactly when no nonzero combination
+    # of it vanishes, which the oracle checks without row reduction
     code = reed_solomon(7, 6, 2)
     g = code.generator
     spec = code.spec
-    for t in (1, 2):
-        expect = True
-        for cols in itertools.combinations(range(code.n), t):
-            sub = MatrixGF(spec, [[row[c] for c in cols] for row in g.rows])
-            _, rank, _ = rref(sub)
-            if rank < t:
-                expect = False
-                break
-        assert check_columns_independent(g, t) == expect
+    gf4 = field_make(4)
+    matrices = [
+        g,
+        parity_check(code),
+        parity_check(extended_rs(4, 2)),
+        LinearCode(field_make(8), [[1, 0, 2, 3], [0, 1, 5, 1]]).generator,
+        # column 1 is 2 * column 0 over GF(4); no column repeats
+        MatrixGF(gf4, [[1, 2, 1], [2, 3, 0]]),
+        MatrixGF(field_make(3), [[1, 0, 1, 1], [0, 1, 1, 2], [1, 1, 2, 0]]),
+    ]
+    outcomes = set()
+    for m in matrices:
+        for t in range(1, m.nrows + 1):
+            want = oracle_columns_independent(m, t)
+            assert check_columns_independent(m, t) == want, (m, t)
+            outcomes.add(want)
+    assert outcomes == {True, False}
     with pytest.raises(ParameterError):
         check_columns_independent(g, 3)  # more columns than rows
     # a matrix with a repeated column fails at t = 2

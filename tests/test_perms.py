@@ -8,12 +8,12 @@ before oracles.brute_force_M is ever consulted.
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permcodes import perms
 from permcodes.bounds import singleton_like_upper
 from permcodes.errors import (
     BudgetExceeded,
@@ -24,11 +24,13 @@ from permcodes.errors import (
     SpecMismatch,
     VerificationFailed,
 )
-from permcodes.gf import field_make
+from permcodes.gf import field_make, is_prime_power
 from permcodes.linear import (
+    LinearCode,
     find_full_weight_dual_codeword,
     min_distance,
     normalize_first_row_ones,
+    parity_check,
     parity_check_with_ones_row,
     random_code_search,
 )
@@ -40,14 +42,12 @@ from permcodes.perms import (
     code_min_distance,
     compose,
     construct_permutation_code,
-    coset_representatives,
     identity_perm,
     involution_pairs,
     lift_code_into_K,
     max_binary_code,
     max_code_in_K,
     perm_hamming,
-    phi,
     read_permutation_code,
     subgroup_K,
     syndrome_buckets,
@@ -64,6 +64,7 @@ from oracles import (
     oracle_largest_bucket,
     oracle_max_subset_size,
     oracle_perm_distance,
+    oracle_syndrome,
 )
 
 
@@ -269,36 +270,6 @@ def test_subgroup_budget():
         subgroup_K(spec, budget=10)
 
 
-def test_coset_representatives_cover_everything():
-    n, q = 6, 4
-    spec = ResidueSubgroupSpec.for_params(n, q)
-    reps = coset_representatives(n, q)
-    assert len(reps) == math.factorial(n) // spec.order
-    # distinct cosets: rep_i o rep_j^-1 outside K for i != j
-    seen = set()
-    K = list(subgroup_K(spec).members)
-    for rep in reps:
-        for g in K:
-            t = compose(g, rep)
-            assert t not in seen
-            seen.add(t)
-    assert len(seen) == math.factorial(n)
-
-
-def test_coset_representatives_match_the_lex_walk():
-    # the lexicographically first member of every coset, in the order a lex
-    # walk of S_n meets the cosets
-    for n in range(1, 9):
-        for q in range(2, n + 2):
-            assert coset_representatives(n, q) == oracle_coset_representatives(n, q)
-
-
-def test_coset_budget_counts_cosets():
-    assert len(coset_representatives(6, 4, budget=180)) == 180
-    with pytest.raises(BudgetExceeded):
-        coset_representatives(6, 4, budget=179)
-
-
 # ---------------------------------------------------------------------------
 # labels and syndromes
 
@@ -317,19 +288,131 @@ def test_label_sum_is_constant_over_permutations():
         assert acc == want
 
 
-def test_phi_respects_check_matrix_shape():
-    code = reed_solomon(7, 6, 2)
-    w = find_full_weight_dual_codeword(code, seed=1)
-    norm = normalize_first_row_ones(code, w)
-    from permcodes.linear import parity_check_with_ones_row
+def systematic_code(q, a_block, ones_in_dual):
+    """[I_k | A] over GF(q).  With ones_in_dual the last entry of each row is
+    replaced so that the row sums to zero, which puts the all-ones vector in
+    the dual."""
+    spec = field_make(q)
+    add, _, neg, _ = spec.tables()
+    rows = []
+    for i, tail in enumerate(a_block):
+        row = [int(i == j) for j in range(len(a_block))] + list(tail)
+        if ones_in_dual:
+            acc = 0
+            for x in row[:-1]:
+                acc = add[acc][x]
+            row[-1] = neg[acc]
+        rows.append(row)
+    return LinearCode(spec, rows)
 
-    h = parity_check_with_ones_row(norm)
-    fspec = norm.spec
-    want_first = oracle_label_sum(6, fspec)
-    for p in list(itertools.permutations(range(1, 7)))[:40]:
-        syn = phi(p, h)
-        assert len(syn) == h.nrows
-        assert syn[0] == want_first
+
+def shape_code(n, q, ones_row):
+    """RS when n <= q, extended RS when n = q + 1, a seeded random
+    systematic code otherwise or when the ones row is asked for and the
+    (extended) RS code has no full-weight dual codeword."""
+    k = max(1, n // 2)
+    if n <= q + 1:
+        code = reed_solomon(q, n, k) if n <= q else extended_rs(q, k)
+        if not ones_row:
+            return code
+        w = find_full_weight_dual_codeword(code, seed=1)
+        if w is not None:
+            return normalize_first_row_ones(code, w)
+    rng = random.Random(n * 100 + q)
+    a_block = [[rng.randrange(q) for _ in range(n - k)] for _ in range(k)]
+    return systematic_code(q, a_block, ones_in_dual=True)
+
+
+def test_coset_representatives_match_the_lex_walk():
+    # per syndrome, the DP's coset count and the DFS's representatives equal
+    # the buckets of a lex walk of S_n, for every shape n <= 8, q <= n + 1
+    for n, q in itertools.product(range(2, 9), range(2, 10)):
+        if q > n + 1 or not is_prime_power(q):
+            continue
+        walk = oracle_coset_representatives(n, q)
+        assert len(walk) == math.factorial(n) // ResidueSubgroupSpec.for_params(n, q).order
+        for ones_row in (False, True):
+            code = shape_code(n, q, ones_row)
+            counts, table = syndrome_buckets(code, ones_row)
+            want = {}
+            for rep in walk:
+                want.setdefault(oracle_syndrome(rep, table.check), []).append(rep)
+            assert counts == {syn: len(reps) for syn, reps in want.items()}, (n, q, ones_row)
+            for syn, reps in want.items():
+                assert table.representatives(syn) == reps, (n, q, ones_row, syn)
+            if ones_row:
+                assert table.check.rows[0] == (1,) * n
+                assert {syn[0] for syn in counts} == {oracle_label_sum(n, code.spec)}
+
+
+def test_coset_representatives_cover_everything():
+    # n = 6, q = 4: |K| = 4, 180 cosets; the K-translates of every bucket's
+    # representatives cover S_6 once
+    n, q = 6, 4
+    code = shape_code(n, q, ones_row=True)
+    counts, table = syndrome_buckets(code)
+    spec = ResidueSubgroupSpec.for_params(n, q)
+    assert sum(counts.values()) == math.factorial(n) // spec.order == 180
+    K = list(subgroup_K(spec).members)
+    seen = set()
+    for syn in counts:
+        for rep in table.representatives(syn):
+            for g in K:
+                t = compose(g, rep)
+                assert t not in seen
+                seen.add(t)
+    assert len(seen) == math.factorial(n)
+
+
+@pytest.mark.parametrize(
+    "make,ones_row",
+    [
+        # r = 6: q^r = 117,649 syndromes against 7! = 5,040 cosets
+        (lambda: reed_solomon(7, 7, 1), False),
+        # r = 0 after the ones row: one syndrome, every coset in it
+        (lambda: reed_solomon(5, 5, 4), True),
+    ],
+    ids=["low-rate", "r0"],
+)
+def test_syndrome_table_stays_sparse(make, ones_row):
+    code = make()
+    n, q = code.n, code.spec.q
+    gamma = [identity_perm(n)]
+    pc, cert = construct_permutation_code(code, gamma, assume_ones_row=ones_row)
+    check = parity_check_with_ones_row(code) if ones_row else parity_check(code)
+    syn, members = oracle_largest_bucket(gamma, check, n, q)
+    assert cert.syndrome == syn
+    assert list(pc.members) == members
+    # each entry is a distinct label suffix; a dense table has q^r per state
+    _, table = syndrome_buckets(code, ones_row)
+    assert sum(len(t) for t in table.tables) <= n * cert.coset_count
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_every_bucket_is_sound(data):
+    q = data.draw(st.sampled_from([2, 3, 4, 5]), label="q")
+    n = data.draw(st.integers(2, 7), label="n")
+    k = data.draw(st.integers(1, n - 1), label="k")
+    ones_row = data.draw(st.booleans(), label="ones_row")
+    a_block = data.draw(
+        st.lists(
+            st.lists(st.integers(0, q - 1), min_size=n - k, max_size=n - k),
+            min_size=k,
+            max_size=k,
+        ),
+        label="A",
+    )
+    code = systematic_code(q, a_block, ones_in_dual=ones_row)
+    d = min_distance(code)
+    kspec = ResidueSubgroupSpec.for_params(n, q)
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    gamma = max_code_in_K(kspec, d, mode="greedy", seed=seed).members
+    counts, table = syndrome_buckets(code, ones_row)
+    syn = data.draw(st.sampled_from(sorted(counts)), label="syndrome")
+    bucket = [compose(g, rep) for rep in table.representatives(syn) for g in gamma]
+    assert len(set(bucket)) == counts[syn] * len(gamma)
+    assert code_min_distance(bucket) >= d
 
 
 # ---------------------------------------------------------------------------
@@ -507,18 +590,28 @@ def test_construct_budget():
         construct_permutation_code(work, [identity_perm(6)], budget=100)
 
 
+def test_construct_budget_counts_translates():
+    # n = 6, q = 5: |K| = 2, so 360 cosets; two members of gamma make 720
+    work, gamma, _ = build_subgroup_case(5, 6, 2, 2, seed=1)
+    gamma = gamma[:2]
+    _, cert = construct_permutation_code(work, gamma, budget=720)
+    assert (cert.coset_count, cert.sweep_size) == (360, 720)
+    with pytest.raises(BudgetExceeded, match="sweep of 720 translates exceeds budget 719"):
+        construct_permutation_code(work, gamma, budget=719)
+
+
 def test_syndrome_buckets_partition_the_sweep():
     work = build_fixture_a()
-    buckets, check = syndrome_buckets(work)
-    total = sum(len(v) for v in buckets.values())
-    assert total == 720
-    distinct = set()
-    for v in buckets.values():
-        distinct.update(v)
-    assert len(distinct) == 720
-    # ones-row check: all syndromes share the forced first coordinate
-    firsts = {syn[0] for syn in buckets}
-    assert firsts == {oracle_label_sum(6, work.spec)}
+    counts, table = syndrome_buckets(work)
+    reps = [rep for syn in counts for rep in table.representatives(syn)]
+    assert [len(table.representatives(syn)) for syn in counts] == list(counts.values())
+    assert sum(counts.values()) == len(set(reps)) == 720
+    # ones-row check: all syndromes share the forced first coordinate, and
+    # a syndrome off that slice has no representatives
+    first = oracle_label_sum(6, work.spec)
+    assert {syn[0] for syn in counts} == {first}
+    outside = ((first + 1) % 7,) + next(iter(counts))[1:]
+    assert table.representatives(outside) == []
 
 
 def build_subgroup_case(q, n, k, d, seed):
@@ -530,22 +623,6 @@ def build_subgroup_case(q, n, k, d, seed):
     gamma = list(max_code_in_K(kspec, d, mode="exact").members)
     assert len(gamma) > 1
     return work, gamma, kspec
-
-
-def test_phi_runs_once_per_coset(monkeypatch):
-    work, gamma, kspec = build_subgroup_case(4, 6, 2, 4, seed=3)
-    calls = 0
-    real_phi = perms.phi
-
-    def counting_phi(perm, check):
-        nonlocal calls
-        calls += 1
-        return real_phi(perm, check)
-
-    monkeypatch.setattr(perms, "phi", counting_phi)
-    _, cert = construct_permutation_code(work, gamma, seed=3)
-    assert cert.gamma_size == 2
-    assert calls == math.factorial(6) // kspec.order == cert.coset_count
 
 
 @pytest.mark.parametrize("q,n,k,d,seed", [(4, 6, 2, 4, 3), (3, 8, 4, 3, 1)])
