@@ -18,6 +18,7 @@ from pathlib import Path
 from . import bounds, linear, mds, perms
 from .errors import (
     BudgetExceeded,
+    ParameterError,
     ParseError,
     PermcodesError,
     VerificationFailed,
@@ -285,7 +286,8 @@ def cmd_compare(args) -> int:
             d = args.d if args.d is not None else math.ceil(frac * n)
             try:
                 ratio, envelope = bounds.ratio_new_old(n, d)
-            except PermcodesError:
+            except PermcodesError as exc:
+                print(f"dropped n={n}: {exc}", file=sys.stderr)
                 continue
             rows.append(
                 [
@@ -316,7 +318,7 @@ def cmd_compare(args) -> int:
             n_val = alpha * q
             d_val = b * n_val
             if n_val.denominator != 1 or d_val.denominator != 1:
-                continue
+                raise ParameterError(f"n = {n_val} and d = {d_val} must be integers")
             n, d = int(n_val), int(d_val)
             a2, _ = perms.max_binary_code(n - q, d // 2)
             _, _, ratio = bounds.ratio_amds_old(q, alpha, b, a2)

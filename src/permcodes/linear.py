@@ -1,15 +1,20 @@
 """Linear block codes over GF(q): duality, exact minimum distance, search.
 
 Matrices store field elements as their integer codes; the FieldSpec they
-belong to rides along on the object.  All distance work is exact enumeration,
-kept affordable by walking one representative per scalar class of messages
-(first nonzero message coordinate pinned to 1) in odometer order so that each
-successive codeword is obtained by adding a single precomputed row delta.
+belong to rides along on the object.  All distance work is exact.
+min_distance is the Brouwer-Zimmermann information-set search: it enumerates
+low-weight messages on several systematic generators and stops once a lower
+bound on the weight of every word not yet met reaches the lightest word
+found.  The weight set and the exhaustive dual search walk every word, one
+representative per scalar class of messages (first nonzero message
+coordinate pinned to 1), in odometer order so that each successive codeword
+is obtained by adding a single precomputed row delta.
 """
 
 from __future__ import annotations
 
 import random
+from operator import eq
 from pathlib import Path
 
 from .errors import (
@@ -199,23 +204,117 @@ def _class_reps(code: LinearCode):
             yield v
 
 
+def _information_sets(code: LinearCode) -> list[tuple[int, list[list[int]]]]:
+    """Systematic generators on successive information sets.
+
+    Each set's row reduction runs on the columns no earlier set has pivoted
+    on, followed by the used ones, so it takes as many fresh pivots r as the
+    unused columns have rank; the rest of its k pivots come from used
+    columns.  Sets are made until the unused columns are all zero.  Returns
+    (r, rows) per set, the reduced rows restricted to the set's non-pivot
+    columns: message m then gives a word of weight wt(m) on the pivots plus
+    the weight of the sum of m's rows.
+    """
+    gen = code.generator.rows
+    unused = list(range(code.n))
+    used: list[int] = []
+    sets = []
+    while unused:
+        order = unused + used
+        rows, pivots = _rref_rows([[row[c] for c in order] for row in gen], code.spec)
+        r = sum(p < len(unused) for p in pivots)
+        if not r:
+            break
+        rest = [p for p in range(code.n) if p not in pivots]
+        sets.append((r, [[row[p] for p in rest] for row in rows]))
+        fresh = [order[p] for p in pivots[:r]]
+        used += fresh
+        unused = [c for c in unused if c not in fresh]
+    return sets
+
+
 def min_distance(code: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) -> int:
-    """Exact minimum distance by full message enumeration; caches the result."""
+    """Exact minimum distance by the Brouwer-Zimmermann method; caches it.
+
+    Level w enumerates, on each information set G_1, G_2, ... in turn, the
+    messages of weight exactly w whose first nonzero coordinate is 1 (a
+    word's weight is that of its scalar multiples).  The upper bound U is
+    the lightest word met, starting at the Singleton bound n - k + 1.
+
+    Lower bound: a word not yet met has a message of weight >= w + 1 on
+    each set already done at level w, and >= w on the others.  Its weight
+    on the r_i fresh pivots of G_i is then at least that minus the k - r_i
+    pivots G_i shares with earlier sets, and fresh pivots of different sets
+    are disjoint, so every unmet word weighs at least
+        L = sum_{i done} max(0, w+1-(k-r_i)) + sum_{i not} max(0, w-(k-r_i)).
+    The search stops, after any set, once L >= U; U is then the distance.
+    At level k, G_1 (r_1 = k) has met every word, and L exceeds the weight
+    of any word, so the search always ends by then.
+
+    Work: there are at most n - k + 1 sets (the first takes k fresh pivots,
+    every later one at least 1 of the other n - k columns), and level v
+    costs C(k, v)(q-1)^(v-1) words per set, so a search that stops at level
+    w costs at most (n - k + 1) times the sum of those for v <= w, never
+    more than (n - k + 1)(q^k - 1)/(q - 1); a word is one pass over n - k
+    entries.  The budget still gates q^k, as for a full scan.
+    """
     if code._dmin is not None:
         return code._dmin
     if code.spec.q**code.k > budget:
         raise BudgetExceeded(
             f"{code.spec.q}^{code.k} messages exceed budget {budget}"
         )
-    n = code.n
-    best = n
-    for v in _class_reps(code):
-        w = n - v.count(0)
-        if w < best:
-            best = w
-            if best <= 1:
+    k = code.k
+    sets = _information_sets(code)
+    best = code.n - k + 1
+    bound = sum(r == k for r, _ in sets)
+    w = 0
+    while bound < best:
+        w += 1
+        for r, rows in sets:
+            # an early return leaves best <= bound, which ends the search too
+            best = _lightest(code.spec, rows, w, best, bound)
+            if w >= k - r:
+                bound += 1
+            if bound >= best:
                 break
     code._dmin = best
+    return best
+
+
+def _lightest(spec: FieldSpec, rows: list[list[int]], w: int, best: int, floor: int) -> int:
+    """min(best, lightest word of a weight-w message with leading 1).
+
+    rows are a systematic generator's rows off its pivots, so a word weighs
+    w plus the nonzeros of its row sum.  A DFS carries the partial sum; a
+    leaf counts the entries where it equals minus the last scaled row.
+    Returns as soon as the minimum reaches floor, below which no word lies.
+    """
+    add, mul, neg, _ = spec.tables()
+    k = len(rows)
+    m = len(rows[0])
+    base = w + m
+    scaled = [[[mul[c][x] for x in row] for c in range(1, spec.q)] for row in rows]
+    negated = [[[neg[x] for x in s] for s in sc] for sc in scaled]
+
+    def extend(v, start, left, lead):
+        nonlocal best
+        if left == 1:
+            for i in range(start, k):
+                for t in negated[i][:1] if lead else negated[i]:
+                    wt = base - sum(map(eq, v, t))
+                    if wt < best:
+                        best = wt
+                        if best <= floor:
+                            return True
+            return False
+        for i in range(start, k - left + 1):
+            for s in scaled[i][:1] if lead else scaled[i]:
+                if extend([add[x][y] for x, y in zip(v, s)], i + 1, left - 1, False):
+                    return True
+        return False
+
+    extend([0] * m, 0, w, True)
     return best
 
 

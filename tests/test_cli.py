@@ -246,15 +246,16 @@ def test_budget_and_trials_must_be_positive_integers(tmp_path, capsys, cmd, flag
 
 
 def test_compare_new_vs_old(capsys):
-    rc, out, _ = run(capsys, "compare", "--mode", "new-vs-old",
-                     "--n", "10,11,12", "--d", "6")
+    rc, out, err = run(capsys, "compare", "--mode", "new-vs-old",
+                       "--n", "10,11,12", "--d", "6")
     assert rc == 0
     lines = out.strip().splitlines()
     assert lines[0] == "n,d,ratio,envelope,ratio_exact,envelope_exact"
     assert lines[1].startswith("10,6,")
     assert "14641/13122" in lines[1]
-    # n = 11 silently skipped: 10 is not a prime power
+    # n = 11 is dropped, and said so: 10 is not a prime power
     assert [ln.split(",")[0] for ln in lines[1:]] == ["10", "12"]
+    assert err.splitlines() == ["dropped n=11: n-1 = 10 is not a prime power"]
 
 
 def test_compare_d_frac(capsys):
@@ -296,6 +297,15 @@ def test_compare_amds_reports_dropped_rows(capsys):
     assert rc == 0
     assert "q=16" in err
     assert not any(line.startswith("16,") for line in out.splitlines())
+
+
+def test_compare_amds_reports_non_integer_rows(capsys):
+    # q = 9: n = 18 but d = 3/4 * 18 is not an integer
+    rc, out, err = run(capsys, "compare", "--mode", "amds-vs-old",
+                       "--q", "8,9", "--alpha", "2", "--b", "3/4")
+    assert rc == 0
+    assert err.splitlines() == ["dropped q=9: n = 18 and d = 27/2 must be integers"]
+    assert [ln.split(",")[0] for ln in out.splitlines()[1:]] == ["8"]
 
 
 def test_compare_amds_needs_q(capsys):

@@ -1,14 +1,17 @@
 """Linear code machinery against small brute-force oracles.
 
 The oracles enumerate the full message space with plain field arithmetic
-and never touch the codeword walk used by min_distance, so agreement is
-meaningful.
+and touch neither the codeword walk nor the information-set search used by
+min_distance, so agreement is meaningful.
 """
 
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from permcodes.errors import (
     BudgetExceeded,
@@ -45,6 +48,7 @@ from oracles import (
     oracle_codewords,
     oracle_min_distance,
     oracle_mul,
+    oracle_tables,
     oracle_weights,
 )
 
@@ -57,6 +61,15 @@ SMALL_CODES = [
     ("xrs-4-2", lambda: extended_rs(4, 2)),
     ("gf8-custom", lambda: LinearCode(field_make(8), [[1, 0, 2, 3], [0, 1, 5, 1]])),
     ("gf4-rep", lambda: LinearCode(field_make(4), [[1, 1, 1, 1, 1]])),
+    # information sets with r = 5, 3, 2 fresh pivots: crediting the last two
+    # sets one level early would stop the search at weight 3, not 2
+    ("gf2-10-5", lambda: LinearCode(field_make(2), [
+        [1, 1, 0, 0, 0, 0, 1, 0, 0, 0],
+        [1, 0, 0, 1, 1, 0, 0, 0, 0, 0],
+        [0, 0, 1, 1, 0, 1, 0, 0, 1, 0],
+        [0, 0, 1, 1, 1, 0, 0, 0, 0, 0],
+        [1, 0, 0, 0, 0, 0, 0, 1, 1, 1],
+    ])),
 ]
 
 
@@ -83,6 +96,41 @@ def test_codewords_match_oracle(name, make):
     assert reps == [w for m, w in zip(msgs, words) if next((c for c in m if c), 0) == 1]
     every = [tuple(oracle_mul(spec, c, x) for x in v) for v in reps for c in range(1, spec.q)]
     assert sorted(every + [(0,) * code.n]) == sorted(words)
+
+
+@st.composite
+def generators(draw, qs=(2, 3, 4, 5, 7, 8, 9, 16), max_messages=math.inf):
+    """A full-rank k x n generator over GF(q), n <= 9, 1 <= k <= n - 1 and
+    q^k <= max_messages, whose columns are random, zero, or copies of an
+    earlier column."""
+    q = draw(st.sampled_from(qs))
+    n = draw(st.integers(2, 9))
+    kmax = n - 1
+    while q**kmax > max_messages:
+        kmax -= 1
+    k = draw(st.integers(1, kmax))
+    cols = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(("random", "random", "zero", "repeat")))
+        if kind == "zero":
+            cols.append([0] * k)
+        elif kind == "repeat" and cols:
+            cols.append(draw(st.sampled_from(cols)))
+        else:
+            cols.append([draw(st.integers(0, q - 1)) for _ in range(k)])
+    spec = field_make(q)
+    rows = [list(r) for r in zip(*cols)]
+    assume(rref(MatrixGF(spec, rows))[1] == k)
+    return spec, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(generators(max_messages=1024))
+def test_min_distance_matches_oracle_on_drawn_codes(drawn):
+    spec, rows = drawn
+    code = LinearCode(spec, rows)
+    assert min_distance(code) == oracle_min_distance(code)
+    assert min(nonzero_weight_set(LinearCode(spec, rows))) == code.d
 
 
 def test_codeword_count_and_distance_cache():
@@ -132,6 +180,44 @@ def test_dual_of_dual_is_original():
     code = reed_solomon(5, 4, 2)
     dd = dual(dual(code))
     assert sorted(oracle_codewords(dd)) == sorted(oracle_codewords(code))
+
+
+@settings(max_examples=150, deadline=None)
+@given(generators())
+def test_parity_check_is_a_full_rank_annihilator(drawn):
+    spec, rows = drawn
+    code = LinearCode(spec, rows)
+    h = parity_check(code)
+    add, mul = oracle_tables(spec)
+    for grow in rows:
+        for hrow in h.rows:
+            acc = 0
+            for x, y in zip(grow, hrow):
+                acc = add[acc][mul[x][y]]
+            assert acc == 0
+    assert rref(h)[1] == code.n - code.k
+
+
+@settings(max_examples=150, deadline=None)
+@given(generators())
+def test_dual_of_dual_has_the_same_reduced_generator(drawn):
+    spec, rows = drawn
+    code = LinearCode(spec, rows)
+    assert rref(dual(dual(code)).generator)[0].rows == rref(code.generator)[0].rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(generators(), st.randoms(use_true_random=False))
+def test_rref_is_idempotent_on_permuted_columns(drawn, rnd):
+    spec, rows = drawn
+    order = list(range(len(rows[0])))
+    rnd.shuffle(order)
+    m = MatrixGF(spec, [[row[c] for c in order] for row in rows])
+    once, rank, pivots = rref(m)
+    twice, rank2, pivots2 = rref(once)
+    assert (twice.rows, rank2, pivots2) == (once.rows, rank, pivots)
+    for i, c in enumerate(pivots):
+        assert [row[c] for row in once.rows] == [int(j == i) for j in range(rank)]
 
 
 def test_dual_dimensions():

@@ -39,6 +39,18 @@ def test_rs_is_mds_and_dual_mds(q, n, k):
     assert oracle_min_distance(dual(code)) == k + 1
 
 
+@pytest.mark.parametrize("q,k,d", [(11, 8, 5), (13, 4, 11)])
+def test_min_distance_of_large_extended_rs(q, k, d):
+    # (11^8 - 1)/10 = 2.1e7 message classes: out of reach of a full scan
+    assert min_distance(extended_rs(q, k), budget=q**k) == d
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_full_length_rs_distances_are_mds(q):
+    for k in range(1, q):
+        assert min_distance(reed_solomon(q, q, k), budget=q**k) == q - k + 1
+
+
 def test_rs_rejects_bad_parameters():
     with pytest.raises(ParameterError):
         reed_solomon(5, 6, 2)  # n > q
