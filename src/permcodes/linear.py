@@ -7,8 +7,8 @@ low-weight messages on several systematic generators and stops once a lower
 bound on the weight of every word not yet met reaches the lightest word
 found.  The weight set and the exhaustive dual search walk every word, one
 representative per scalar class of messages (first nonzero message
-coordinate pinned to 1), in odometer order so that each successive codeword
-is obtained by adding a single precomputed row delta.
+coordinate pinned to 1), in message product order, by a DFS that carries
+the partial sum through precomputed add-table rows.
 """
 
 from __future__ import annotations
@@ -113,11 +113,6 @@ def rref(matrix: MatrixGF) -> tuple[MatrixGF, int, tuple[int, ...]]:
     return MatrixGF(matrix.spec, rows), len(pivots), tuple(pivots)
 
 
-def _rank(rows: list[list[int]], spec: FieldSpec) -> int:
-    _, pivots = _rref_rows([list(r) for r in rows], spec)
-    return len(pivots)
-
-
 class LinearCode:
     """An [n, k] linear code presented by a full-rank generator matrix."""
 
@@ -131,7 +126,7 @@ class LinearCode:
         k = G.nrows
         if not 0 < k < n:
             raise ParameterError(f"need 0 < k < n, got k={k}, n={n}")
-        if _rank([list(r) for r in G.rows], spec) != k:
+        if len(_rref_rows([list(r) for r in G.rows], spec)[1]) != k:
             raise ParameterError("generator matrix rows are not independent")
         self.spec = spec
         self.n = n
@@ -157,51 +152,28 @@ def _class_reps(code: LinearCode):
     """Yield one nonzero codeword per scalar class, in message product order.
 
     The representative of a class is the word whose first nonzero message
-    coordinate is 1.  Leads run from the last message position to the first
-    and the later coordinates count like an odometer, so each word is the
-    previous one plus a single precomputed row delta.  Weights are invariant
-    under scalar multiplication, so the walk is exhaustive for them.  The
-    yielded lists are never mutated afterwards.
+    coordinate is 1.  Leads run from the last message position to the first;
+    after each lead a DFS takes every coefficient of each later position in
+    turn, carrying the partial sum through the precomputed add-table rows of
+    the scaled generator rows.  Weights are invariant under scalar
+    multiplication, so the walk is exhaustive for them.  The yielded lists
+    are never mutated afterwards.
     """
-    spec = code.spec
-    q = spec.q
-    add, mul, neg, _ = spec.tables()
-    rows = [list(r) for r in code.generator.rows]
+    add, mul, _, _ = code.spec.tables()
+    rows = code.generator.rows
     k = len(rows)
+    # shifts[i][c][j] is the add-table row that adds c * rows[i][j]
+    shifts = [[[add[mul[c][x]] for x in row] for c in range(code.spec.q)] for row in rows]
 
-    # For row j, precompute the add-table row per position for the delta
-    # vectors (a_{c+1} - a_c) * row  and the wraparound (a_0 - a_{q-1}) * row.
-    step_maps = []
-    wrap_maps = []
-    for row in rows:
-        scaled = [[mul[c][x] for x in row] for c in range(q)]
-        steps = []
-        for c in range(q - 1):
-            steps.append(
-                [add[add[y][neg[x]]] for x, y in zip(scaled[c], scaled[c + 1])]
-            )
-        step_maps.append(steps)
-        wrap_maps.append([add[neg[x]] for x in scaled[q - 1]])
-
-    qm1 = q - 1
-    for lead in range(k - 1, -1, -1):
-        v = rows[lead]
-        yield v
-        t = k - 1 - lead
-        digits = [0] * t
-        smaps = step_maps[lead + 1 :]
-        wmaps = wrap_maps[lead + 1 :]
-        while True:
-            i = t - 1
-            while i >= 0 and digits[i] == qm1:
-                v = [m[x] for m, x in zip(wmaps[i], v)]
-                digits[i] = 0
-                i -= 1
-            if i < 0:
-                break
-            v = [m[x] for m, x in zip(smaps[i][digits[i]], v)]
-            digits[i] += 1
+    def extend(v, i):
+        if i == k:
             yield v
+            return
+        for shift in shifts[i]:
+            yield from extend([s[x] for s, x in zip(shift, v)], i + 1)
+
+    for lead in range(k - 1, -1, -1):
+        yield from extend(list(rows[lead]), lead + 1)
 
 
 def _information_sets(code: LinearCode) -> list[tuple[int, list[list[int]]]]:
@@ -380,18 +352,15 @@ def parity_check_with_ones_row(code: LinearCode) -> MatrixGF:
     Requires the all-ones vector to lie in the dual; raises NotInDual
     otherwise.
     """
-    n = code.n
-    ones = tuple([1] * n)
+    ones = tuple([1] * code.n)
     if not in_dual(code, ones):
         raise NotInDual("all-ones vector is not in the dual code")
-    spec = code.spec
-    sel: list[list[int]] = [list(ones)]
-    for row in parity_check(code).rows:
-        cand = sel + [list(row)]
-        if _rank(cand, spec) > len(sel):
-            sel.append(list(row))
-    assert len(sel) == n - code.k
-    return MatrixGF(spec, sel)
+    # Row j of parity_check is 1 on the j-th non-pivot column and 0 on the
+    # others, so a dual vector is the sum of the rows weighted by its entries
+    # there, and ones is the sum of all rows.  Each row but the last is then
+    # independent of ones and the rows before it, and the last is not.
+    H = parity_check(code).rows
+    return MatrixGF(code.spec, (ones,) + H[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -425,45 +394,30 @@ def find_full_weight_dual_codeword(
 ) -> tuple[int, ...] | None:
     """Search for a dual codeword with no zero coordinate.
 
-    Randomized route (valid when k <= q-2 and the systematic part has no zero
-    row): sample the free dual message over nonzero scalars; each trial
-    succeeds with probability at least 1 - k/(q-1).  Falls back to exhaustive
-    dual enumeration when q^(n-k) <= budget.  Returns None when both routes
-    come up empty.
+    Randomized route (valid when k <= q-2 and the parity check H has no zero
+    column): w = -sum m_j H_j with each m_j a uniform nonzero scalar, drawn
+    in row order.  w is nonzero off the pivots, and each pivot entry is a
+    nonzero linear form in the m_j, so a trial succeeds with probability at
+    least 1 - k/(q-1).  Falls back to exhaustive dual enumeration when
+    q^(n-k) <= budget.  Returns None when both routes come up empty.
     """
     spec = code.spec
     q = spec.q
     n, k = code.n, code.k
     add, mul, neg, _ = spec.tables()
+    H = parity_check(code).rows
 
-    rows, pivots = _rref_rows([list(r) for r in code.generator.rows], spec)
-    free = [j for j in range(n) if j not in set(pivots)]
-    order = list(pivots) + free  # systematic column order
-    A = [[rows[i][j] for j in free] for i in range(k)]
-
-    if k <= q - 2 and all(any(x for x in arow) for arow in A):
+    if k <= q - 2 and all(any(col) for col in zip(*H)):
         rng = random.Random(seed)
         for _ in range(budget):
-            m = [rng.randrange(1, q) for _ in range(n - k)]
-            head = []
-            ok = True
-            for arow in A:
-                acc = 0
-                for mj, aij in zip(m, arow):
-                    if aij:
-                        acc = add[acc][mul[mj][aij]]
-                if not acc:
-                    ok = False
-                    break
-                head.append(acc)
-            if ok:
-                wsys = head + [neg[x] for x in m]
-                w = [0] * n
-                for pos, col in enumerate(order):
-                    w[col] = wsys[pos]
-                wt = tuple(w)
-                assert in_dual(code, wt)
-                return wt
+            w = [0] * n
+            for row in H:
+                scaled = mul[neg[rng.randrange(1, q)]]
+                w = [add[x][scaled[y]] for x, y in zip(w, row)]
+            if all(w):
+                w = tuple(w)
+                assert in_dual(code, w)
+                return w
 
     if q ** (n - k) <= budget:
         return next((tuple(v) for v in _class_reps(dual(code)) if all(v)), None)

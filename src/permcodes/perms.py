@@ -604,12 +604,12 @@ def max_code_in_K(
     Exact mode pins the identity (K is a group, so translation loses nothing)
     and runs branch-and-bound clique search; greedy mode runs one seeded pass.
     """
+    # refuse from |K| alone, without enumerating K; past the subgroup budget
+    # subgroup_K refuses it with its own message
+    if mode == "exact" and MAX_CLIQUE_VERTICES < spec.order <= budget:
+        raise BudgetExceeded(f"|K| = {spec.order} is too large for exact clique search")
     members = list(subgroup_K(spec, budget).members)
     if mode == "exact":
-        if len(members) > MAX_CLIQUE_VERTICES:
-            raise BudgetExceeded(
-                f"|K| = {len(members)} is too large for exact clique search"
-            )
         ident = identity_perm(spec.n)
         cands = [p for p in members if p != ident and perm_hamming(p, ident) >= d]
         neigh = _distance_graph(cands, d)

@@ -5,9 +5,10 @@ arithmetic from sympy's galoistools; none of them reuses the scan loops or
 the GF tables inside the package, so agreement between the two is evidence,
 not tautology.
 
-The helpers after them (exact small-case maxima, dual-MDS checks) do reuse
-package code: the clique search, the distance scan and row reduction.  They
-are reference computations that only the tests need.
+The helpers after them (exact small-case maxima, dual-MDS checks, the
+greedy ones-row check matrix) do reuse package code: the clique search, the
+distance scan, the parity check and row reduction.  They are reference
+computations that only the tests need.
 """
 
 import functools
@@ -18,8 +19,15 @@ import random
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_mul, gf_rem, gf_strip
 
-from permcodes.errors import BudgetExceeded, ParameterError
-from permcodes.linear import DEFAULT_DISTANCE_BUDGET, MatrixGF, dual, min_distance, rref
+from permcodes.errors import BudgetExceeded, NotInDual, ParameterError
+from permcodes.linear import (
+    DEFAULT_DISTANCE_BUDGET,
+    MatrixGF,
+    dual,
+    min_distance,
+    parity_check,
+    rref,
+)
 from permcodes.perms import (
     PermutationCode,
     _distance_graph,
@@ -199,6 +207,23 @@ def brute_force_max_code(n, d, budget=120):
 def brute_force_M(n, d, budget=120):
     """Exact M(n, d) for tiny n."""
     return brute_force_max_code(n, d, budget).size
+
+
+def oracle_ones_row_check(code):
+    """A parity check matrix with an all-ones first row, built greedily: the
+    ones row, then each row of parity_check(code) that raises the rank of
+    the rows kept so far.  Raises NotInDual when some generator row does not
+    sum to zero, that is when the all-ones vector is not in the dual."""
+    spec = code.spec
+    add, _ = oracle_tables(spec)
+    if any(functools.reduce(lambda a, b: add[a][b], row) for row in code.generator.rows):
+        raise NotInDual("all-ones vector is not in the dual code")
+    sel = [(1,) * code.n]
+    for row in parity_check(code).rows:
+        if rref(MatrixGF(spec, sel + [row]))[1] > len(sel):
+            sel.append(row)
+    assert len(sel) == code.n - code.k
+    return MatrixGF(spec, sel)
 
 
 def check_columns_independent(matrix, t):

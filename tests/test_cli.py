@@ -124,6 +124,30 @@ def test_construct_emit_code(tmp_path, capsys):
     assert text.startswith("5 6 3")
 
 
+@pytest.mark.parametrize("source,stdout,emitted", [
+    # the full-weight dual word comes from the random route
+    (["--q", "5", "--k", "3", "--source", "xrs", "--gamma", "identity", "--seed", "5"],
+     "constructed: n=6 q=5 k=3 d=4 size=24 floor=15 distance=4 syndrome=1 3 3\n",
+     "5 6 3\n3 1 2 1 3 0\n0 1 4 3 2 0\n0 1 3 4 3 4\n"),
+    # k > q - 2: the word comes from the exhaustive walk of the dual
+    (["--source", "file", "--seed", "1"],
+     "constructed: n=6 q=3 k=2 d=4 size=16 floor=14 distance=4 syndrome=0 0 0 0\n",
+     "3 6 2\n2 0 2 1 2 2\n0 2 2 2 2 1\n"),
+])
+def test_construct_frozen_output_and_emitted_code(tmp_path, capsys, source, stdout, emitted):
+    # values computed by the earlier implementation; the emitted generator is
+    # the input rescaled by the dual word, so it pins the word's sign too
+    if "file" in source:
+        code_path = tmp_path / "code.txt"
+        code_path.write_text("3 6 2\n1 0 2 1 2 1\n0 1 2 2 2 2\n")
+        source = source + ["--code-file", str(code_path)]
+    emit_path = tmp_path / "emitted.txt"
+    rc, out, _ = run(capsys, "construct", "--d", "4", *source, "--emit-code", str(emit_path))
+    assert rc == 0
+    assert out == stdout
+    assert emit_path.read_text() == emitted
+
+
 def test_construct_infeasible_distance(capsys):
     rc, _, err = run(capsys, "construct", "--d", "5", "--q", "7", "--n", "6",
                      "--k", "4", "--source", "rs", "--seed", "1")

@@ -48,6 +48,7 @@ from oracles import (
     oracle_codewords,
     oracle_min_distance,
     oracle_mul,
+    oracle_ones_row_check,
     oracle_tables,
     oracle_weights,
 )
@@ -251,6 +252,30 @@ def test_checks_with_ones_row():
         parity_check_with_ones_row(reed_solomon(7, 6, 2))
 
 
+@settings(max_examples=150, deadline=None)
+@given(generators())
+def test_ones_row_check_matches_the_greedy_oracle(drawn):
+    # each drawn code, and the code with one more column that makes every
+    # generator row sum to zero, so that the all-ones vector is in its dual
+    spec, rows = drawn
+    add, _ = oracle_tables(spec)
+    balanced = []
+    for row in rows:
+        total = 0
+        for x in row:
+            total = add[total][x]
+        balanced.append(row + [next(y for y in range(spec.q) if add[total][y] == 0)])
+    for g in (rows, balanced):
+        code = LinearCode(spec, g)
+        try:
+            want = oracle_ones_row_check(code)
+        except NotInDual:
+            with pytest.raises(NotInDual):
+                parity_check_with_ones_row(code)
+        else:
+            assert parity_check_with_ones_row(code) == want
+
+
 def test_normalize_first_row_ones_preserves_metric():
     code = reed_solomon(7, 6, 4)
     w = find_full_weight_dual_codeword(code, seed=7)
@@ -321,6 +346,28 @@ def test_full_weight_fallback_returns_first_word_in_message_order():
         assert find_full_weight_dual_codeword(code, seed=1) == want, code
         found += want is not None
     assert found >= 20
+
+
+@pytest.mark.parametrize("make,seed,route,want", [
+    (lambda: reed_solomon(7, 6, 2), 1, "random", (1, 3, 5, 2, 6, 4)),
+    (lambda: extended_rs(5, 3), 5, "random", (3, 1, 2, 1, 3, 4)),
+    (lambda: extended_rs(8, 3), 2, "random", (1, 2, 2, 7, 7, 1, 1, 1, 3)),
+    (lambda: extended_rs(9, 5), 3, "random", (8, 3, 4, 5, 6, 4, 4, 5, 6, 8)),
+    (lambda: LinearCode(field_make(3), [[1, 0, 2, 1, 2, 1], [0, 1, 2, 2, 2, 2]]), 1,
+     "exhaustive", (2, 2, 1, 1, 1, 2)),
+    (lambda: LinearCode(field_make(4), [[1, 0, 0, 1, 3, 2], [0, 1, 0, 1, 3, 1],
+                                        [0, 0, 1, 0, 1, 3]]), 1,
+     "exhaustive", (3, 1, 3, 1, 1, 3)),
+    (lambda: extended_rs(5, 4), 1, "exhaustive", None),
+])
+def test_full_weight_search_frozen_values(make, seed, route, want):
+    # values computed by the earlier implementation of both routes; the
+    # random route is taken when k <= q - 2 and no column of H is zero
+    code = make()
+    q, k = code.spec.q, code.k
+    random_route = k <= q - 2 and all(any(col) for col in zip(*parity_check(code).rows))
+    assert route == ("random" if random_route else "exhaustive")
+    assert find_full_weight_dual_codeword(code, seed=seed) == want
 
 
 def oracle_columns_independent(matrix, t):

@@ -36,8 +36,10 @@ from permcodes.linear import (
 )
 from permcodes.mds import extended_rs, reed_solomon
 from permcodes.perms import (
+    MAX_CLIQUE_VERTICES,
     PermutationCode,
     ResidueSubgroupSpec,
+    _max_clique,
     binary_lift,
     code_min_distance,
     compose,
@@ -508,6 +510,43 @@ def test_max_code_in_K_matches_subset_oracle(n, q, d):
     assert code_min_distance(got) >= d
     for p in got:
         assert spec.contains(p)
+
+
+def test_max_code_in_K_refuses_a_large_K_without_enumerating_it(monkeypatch):
+    spec = ResidueSubgroupSpec.for_params(13, 3)
+    assert MAX_CLIQUE_VERTICES < spec.order == 69_120
+    # past the subgroup budget the refusal is still subgroup_K's own
+    with pytest.raises(BudgetExceeded, match=r"^\|K\| = 69120 exceeds budget 1000$"):
+        max_code_in_K(spec, 3, budget=1000)
+
+    def enumerate_k(*args, **kwargs):
+        raise AssertionError("K was enumerated")
+
+    monkeypatch.setattr("permcodes.perms.subgroup_K", enumerate_k)
+    with pytest.raises(BudgetExceeded,
+                       match=r"^\|K\| = 69120 is too large for exact clique search$"):
+        max_code_in_K(spec, 3)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_max_clique_matches_networkx(seed):
+    import networkx as nx
+
+    rng = random.Random(seed)
+    n = rng.randint(1, 40)
+    density = rng.uniform(0.2, 0.8)
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    neigh = [0] * n
+    for i, j in itertools.combinations(range(n), 2):
+        if rng.random() < density:
+            graph.add_edge(i, j)
+            neigh[i] |= 1 << j
+            neigh[j] |= 1 << i
+    clique = _max_clique(neigh)
+    _, size = nx.max_weight_clique(graph, weight=None)
+    assert len(clique) == size
+    assert all(graph.has_edge(u, v) for u, v in itertools.combinations(clique, 2))
 
 
 def test_max_code_in_K_greedy_is_valid_and_seeded():
