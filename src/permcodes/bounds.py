@@ -9,8 +9,8 @@ point is used anywhere in this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ParameterError, PreconditionViolated
 from .gf import is_prime_power, next_prime, next_prime_power
@@ -89,8 +89,7 @@ def mds_plus1_lower(n: int, d: int) -> tuple[Fraction, int]:
     return value, math.ceil(value)
 
 
-@dataclass(frozen=True)
-class AmdsBound:
+class AmdsBound(NamedTuple):
     value: Fraction
     rounded: int
     flags: dict[str, bool]
@@ -204,8 +203,7 @@ def amds_vs_old_threshold(alpha: Fraction) -> Fraction:
 # Assembled report
 
 
-@dataclass(frozen=True)
-class BoundCell:
+class BoundCell(NamedTuple):
     applicable: bool
     value: Fraction | None = None
     rounded: int | None = None

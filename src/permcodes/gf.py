@@ -11,7 +11,7 @@ FieldSpec.tables().
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NotAPrimePower, ParameterError
 
@@ -32,8 +32,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimePower:
+class PrimePower(NamedTuple):
     p: int
     m: int
     q: int

@@ -20,8 +20,8 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .bounds import general_firstbound
 from .errors import (
@@ -164,8 +164,7 @@ def code_min_distance(code, budget: int = DEFAULT_VERIFY_BUDGET) -> int | float:
 # The residue subgroup K = {sigma : sigma(i) = i (mod q)}
 
 
-@dataclass(frozen=True)
-class ResidueSubgroupSpec:
+class ResidueSubgroupSpec(NamedTuple):
     """Shape of K inside S_n for a given modulus q: n = q*s + r."""
 
     n: int
@@ -389,8 +388,7 @@ class SyndromeTable:
 # The construction
 
 
-@dataclass(frozen=True)
-class ConstructionCertificate:
+class ConstructionCertificate(NamedTuple):
     """Everything needed to reproduce and re-check one constructed bucket."""
 
     n: int
@@ -580,15 +578,47 @@ def _max_clique(neigh: list[int]) -> list[int]:
     return sorted(best_set)
 
 
-def _distance_graph(members: list[Perm], d: int) -> list[int]:
-    n = len(members)
-    neigh = [0] * n
-    for i in range(n):
-        a = members[i]
-        for j in range(i + 1, n):
-            if perm_hamming(a, members[j]) >= d:
-                neigh[i] |= 1 << j
-                neigh[j] |= 1 << i
+def _distance_graph(words, d: int) -> list[int]:
+    """Bitmask adjacency of the graph on equal-length words (sequences over
+    any alphabet) that joins two words at Hamming distance >= d.
+
+    Bit-sliced, with no pair loop: each coordinate keeps one bitmask of the
+    vertices per value it takes.  A vertex adds its r disagreement masks into
+    a counter of bit planes, plane k holding bit k of every vertex's distance
+    to it, and the vertices at distance >= d are read off the planes by a
+    bit-sliced comparison with d, most significant plane first.  That is
+    O(V r log r) operations on V-bit ints instead of V^2 / 2 pair tests.
+    """
+    if not words:
+        return []
+    r = len(words[0])
+    full = (1 << len(words)) - 1
+    tables: list[dict] = [{} for _ in range(r)]
+    for v, word in enumerate(words):
+        bit = 1 << v
+        for table, x in zip(tables, word):
+            table[x] = table.get(x, 0) | bit
+    d = max(d, 0)  # every pair is at distance >= 0; keeps d's bits well defined
+    width = max(r, d).bit_length()
+    neigh = []
+    for v, word in enumerate(words):
+        planes = [0] * width
+        for table, x in zip(tables, word):
+            carry = full ^ table[x]
+            k = 0
+            while carry:
+                plane = planes[k]
+                planes[k] = plane ^ carry
+                carry &= plane
+                k += 1
+        above, equal = 0, full
+        for k in reversed(range(width)):
+            if d >> k & 1:
+                equal &= planes[k]
+            else:
+                above |= equal & planes[k]
+                equal &= ~planes[k]
+        neigh.append((above | equal) & ~(1 << v))
     return neigh
 
 
@@ -645,28 +675,27 @@ def max_code_in_K(
 
 def max_binary_code(r: int, d: int, budget: int = MAX_CLIQUE_VERTICES) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Exact A_2(r, d) with a witness, zero word pinned by translation
-    invariance.  Returns (size, witness bit tuples)."""
+    invariance.  Returns (size, witness bit tuples).
+
+    The budget counts clique vertices, the words of weight >= d; past it the
+    search is refused from their count alone, before any word is built."""
     if r < 1 or d < 1:
         raise ParameterError("need r >= 1 and d >= 1")
     if r > 24:
         raise BudgetExceeded(f"2^{r} words is too many to enumerate")
-    words = [x for x in range(1, 2**r) if x.bit_count() >= d]
-    if len(words) > budget:
-        raise BudgetExceeded(
-            f"{len(words)} candidate words exceed the clique budget {budget}"
-        )
-    neigh = [0] * len(words)
-    for i, x in enumerate(words):
-        for j in range(i + 1, len(words)):
-            if (x ^ words[j]).bit_count() >= d:
-                neigh[i] |= 1 << j
-                neigh[j] |= 1 << i
-    clique = _max_clique(neigh)
-    chosen = [0] + [words[v] for v in clique]
-    witness = tuple(
-        tuple((x >> (r - 1 - b)) & 1 for b in range(r)) for x in sorted(chosen)
+    count = sum(math.comb(r, w) for w in range(d, r + 1))
+    if count > budget:
+        raise BudgetExceeded(f"{count} candidate words exceed the clique budget {budget}")
+    # the words of weight >= d as bit tuples, most significant bit first, so
+    # that tuple order is integer order
+    words = sorted(
+        tuple(int(b in ones) for b in range(r))
+        for w in range(d, r + 1)
+        for ones in itertools.combinations(range(r), w)
     )
-    return len(chosen), witness
+    clique = _max_clique(_distance_graph(words, d))
+    witness = tuple(sorted([(0,) * r] + [words[v] for v in clique]))
+    return len(witness), witness
 
 
 def involution_pairs(spec: ResidueSubgroupSpec) -> tuple[tuple[int, int], ...]:

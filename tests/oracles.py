@@ -30,7 +30,6 @@ from permcodes.linear import (
 )
 from permcodes.perms import (
     PermutationCode,
-    _distance_graph,
     _max_clique,
     identity_perm,
     perm_hamming,
@@ -112,6 +111,17 @@ def oracle_code_distance(perms):
             if best is None or d < best:
                 best = d
     return best
+
+
+def oracle_distance_graph(words, d):
+    """Bitmask adjacency joining words at Hamming distance >= d, one pair at
+    a time."""
+    neigh = [0] * len(words)
+    for i, j in itertools.combinations(range(len(words)), 2):
+        if oracle_perm_distance(words[i], words[j]) >= d:
+            neigh[i] |= 1 << j
+            neigh[j] |= 1 << i
+    return neigh
 
 
 def oracle_greedy_code(members, d, seed):
@@ -200,7 +210,7 @@ def brute_force_max_code(n, d, budget=120):
     cands = [
         p for p in itertools.permutations(range(1, n + 1)) if perm_hamming(p, ident) >= d
     ]
-    clique = _max_clique(_distance_graph(cands, d))
+    clique = _max_clique(oracle_distance_graph(cands, d))
     return PermutationCode(n, [ident] + [cands[v] for v in clique])
 
 

@@ -1,6 +1,10 @@
 """Command line behavior: output shapes, determinism, exit codes."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -372,3 +376,19 @@ def test_code_search_miss(capsys):
                      "--q", "4", "--seed", "1", "--trials", "5")
     assert rc == 2
     assert "not found" in err
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # every CLI process pays for what importing permcodes.cli pulls in, and
+    # dataclasses alone brings inspect, ast, dis and tokenize
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys; before = set(sys.modules); import permcodes.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"

@@ -9,6 +9,7 @@ before oracles.brute_force_M is ever consulted.
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +40,7 @@ from permcodes.perms import (
     MAX_CLIQUE_VERTICES,
     PermutationCode,
     ResidueSubgroupSpec,
+    _distance_graph,
     _max_clique,
     binary_lift,
     code_min_distance,
@@ -61,6 +63,7 @@ from oracles import (
     brute_force_max_code,
     oracle_code_distance,
     oracle_coset_representatives,
+    oracle_distance_graph,
     oracle_greedy_code,
     oracle_label_sum,
     oracle_largest_bucket,
@@ -433,6 +436,10 @@ def test_max_binary_code_frozen_values():
         (4, 3, 2),
         (4, 4, 2),
         (8, 6, 2),  # averaging cap 2*floor(6/4) = 2
+        (6, 3, 8),  # = A_2(7, 4) by parity extension, Plotkin cap 2*floor(4/1) = 8
+        (7, 3, 16),  # sphere-packing cap 2^7 / (1 + 7) = 16
+        (8, 4, 16),  # = A_2(7, 3) by parity extension
+        (16, 12, 2),  # averaging cap 2*floor(12/8) = 2
     ]
     for r, d, want in cases:
         size, witness = max_binary_code(r, d)
@@ -448,6 +455,16 @@ def test_max_binary_code_budget_and_validation():
         max_binary_code(0, 1)
     with pytest.raises(BudgetExceeded):
         max_binary_code(14, 1)  # 2^14 - 1 candidate words at d = 1
+
+
+def test_max_binary_code_refuses_from_the_count_alone():
+    # sum of C(24, w) for w >= 1 words, refused before any is built
+    start = time.perf_counter()
+    with pytest.raises(
+        BudgetExceeded, match=r"^16777215 candidate words exceed the clique budget 4096$"
+    ):
+        max_binary_code(24, 1)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_binary_lift_doubles_distances_exhaustively():
@@ -547,6 +564,24 @@ def test_max_clique_matches_networkx(seed):
     _, size = nx.max_weight_clique(graph, weight=None)
     assert len(clique) == size
     assert all(graph.has_edge(u, v) for u, v in itertools.combinations(clique, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_distance_graph_matches_pair_loop_on_bit_words(data):
+    r = data.draw(st.integers(1, 10), label="r")
+    ints = data.draw(st.sets(st.integers(0, 2**r - 1)), label="words")
+    words = [tuple(x >> (r - 1 - b) & 1 for b in range(r)) for x in sorted(ints)]
+    d = data.draw(st.integers(-1, r + 1), label="d")
+    assert _distance_graph(words, d) == oracle_distance_graph(words, d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(permutation_lists(), st.data())
+def test_distance_graph_matches_pair_loop_on_permutations(rows, data):
+    n = len(rows[0]) if rows else 0
+    d = data.draw(st.integers(-1, n + 1), label="d")
+    assert _distance_graph(rows, d) == oracle_distance_graph(rows, d)
 
 
 def test_max_code_in_K_greedy_is_valid_and_seeded():
