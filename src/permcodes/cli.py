@@ -34,7 +34,6 @@ EXIT_BUDGET = 4
 TABLE_COLUMNS = ("gv", "sphere", "singleton", "old", "mds", "mds+1")
 MARK_COLUMNS = {"old", "mds", "mds+1"}
 DEFAULT_TABLE_COLUMNS = "mds,mds+1,old"
-DEFAULT_CONSTRUCT_BUDGET = 50_000
 
 
 class _UsageError(Exception):
@@ -88,6 +87,11 @@ def _count(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _budget(args) -> dict:
+    """--budget as a keyword argument when given; else each library default holds."""
+    return {} if args.budget is None else {"budget": args.budget}
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -167,13 +171,9 @@ def _load_construct_code(args) -> linear.LinearCode:
 
 
 def cmd_construct(args) -> int:
-    given = args.budget is not None
-    sweep_budget = args.budget if given else DEFAULT_CONSTRUCT_BUDGET
-    dist_budget = args.budget if given else linear.DEFAULT_DISTANCE_BUDGET
-    search_budget = args.budget if given else linear.DEFAULT_SEARCH_BUDGET
-
+    budget = _budget(args)
     code = _load_construct_code(args)
-    dm = linear.min_distance(code, dist_budget)
+    dm = linear.min_distance(code, **budget)
     if dm < args.d:
         print(
             f"infeasible: code has distance {dm}, below requested {args.d}",
@@ -184,7 +184,7 @@ def cmd_construct(args) -> int:
     if args.ones_row:
         if args.seed is None:
             raise _UsageError("--seed is required (full-weight dual search)")
-        w = linear.find_full_weight_dual_codeword(code, args.seed, search_budget)
+        w = linear.find_full_weight_dual_codeword(code, args.seed, **budget)
         if w is None:
             print(
                 "infeasible: no full-weight dual codeword found; "
@@ -193,7 +193,7 @@ def cmd_construct(args) -> int:
             )
             return EXIT_INFEASIBLE
         work = linear.normalize_first_row_ones(code, w)
-        if linear.min_distance(work, dist_budget) != dm:
+        if linear.min_distance(work, **budget) != dm:
             raise VerificationFailed("distance changed under rescaling")
     else:
         work = code
@@ -214,8 +214,8 @@ def cmd_construct(args) -> int:
         work,
         gamma.members,
         assume_ones_row=args.ones_row,
-        budget=sweep_budget,
         seed=args.seed,
+        **budget,
     )
     if args.out:
         perms.write_permutation_code(pc, args.out, distance=cert.verified_distance)
@@ -237,9 +237,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    budget = args.budget if args.budget is not None else perms.DEFAULT_VERIFY_BUDGET
     n, size, dval, rows = perms.read_permutation_code(args.file)
-    recomputed = perms.code_min_distance(rows, budget)
+    recomputed = perms.code_min_distance(rows, **_budget(args))
     problems: list[str] = []
     if len(rows) != size:
         problems.append(f"header declares {size} rows, file has {len(rows)}")
@@ -373,9 +372,8 @@ def cmd_field(args) -> int:
 
 
 def cmd_code_search(args) -> int:
-    budget = args.budget if args.budget is not None else linear.DEFAULT_DISTANCE_BUDGET
     code = linear.random_code_search(
-        args.n, args.k, args.d, args.q, args.seed, args.trials, budget
+        args.n, args.k, args.d, args.q, args.seed, args.trials, **_budget(args)
     )
     if code is None:
         print(

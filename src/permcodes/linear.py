@@ -5,10 +5,10 @@ belong to rides along on the object.  All distance work is exact.
 min_distance is the Brouwer-Zimmermann information-set search: it enumerates
 low-weight messages on several systematic generators and stops once a lower
 bound on the weight of every word not yet met reaches the lightest word
-found.  The weight set and the exhaustive dual search walk every word, one
-representative per scalar class of messages (first nonzero message
-coordinate pinned to 1), in message product order, by a DFS that carries
-the partial sum through precomputed add-table rows.
+found.  The exhaustive dual search walks every word, one representative per
+scalar class of messages (first nonzero message coordinate pinned to 1), in
+message product order, by a DFS that carries the partial sum through
+precomputed add-table rows.
 """
 
 from __future__ import annotations
@@ -290,18 +290,6 @@ def _lightest(spec: FieldSpec, rows: list[list[int]], w: int, best: int, floor: 
     return best
 
 
-def nonzero_weight_set(code: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) -> set[int]:
-    """Exact set of weights of nonzero codewords."""
-    if code.spec.q**code.k > budget:
-        raise BudgetExceeded(
-            f"{code.spec.q}^{code.k} messages exceed budget {budget}"
-        )
-    weights = {code.n - v.count(0) for v in _class_reps(code)}
-    if code._dmin is None:
-        code._dmin = min(weights)
-    return weights
-
-
 # ---------------------------------------------------------------------------
 # Duality
 
@@ -462,9 +450,9 @@ def random_code_search(
     return None
 
 
-def singleton_defect(code: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) -> int:
+def singleton_defect(code: LinearCode) -> int:
     """n - k + 1 - d, the gap to the Singleton bound (0 means MDS)."""
-    return code.n - code.k + 1 - min_distance(code, budget)
+    return code.n - code.k + 1 - min_distance(code)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from .linear import (
 
 Perm = tuple[int, ...]
 
-DEFAULT_SWEEP_BUDGET = 10**6
+DEFAULT_SWEEP_BUDGET = 50_000
 DEFAULT_SUBGROUP_BUDGET = 100_000
 DEFAULT_VERIFY_BUDGET = 10**8
 MAX_CLIQUE_VERTICES = 4096
@@ -72,11 +72,11 @@ def perm_hamming(a: Perm, b: Perm) -> int:
 
 
 class PermutationCode:
-    """A duplicate-free set of permutations of {1..n} with a cached min distance."""
+    """A duplicate-free set of permutations of {1..n}, in sorted order."""
 
-    __slots__ = ("n", "members", "_dmin")
+    __slots__ = ("n", "members")
 
-    def __init__(self, n: int, members, _distance=None) -> None:
+    def __init__(self, n: int, members) -> None:
         mem_list = [tuple(p) for p in members]
         mem = sorted(set(mem_list))
         if len(mem) != len(mem_list):
@@ -86,7 +86,6 @@ class PermutationCode:
                 raise ParameterError(f"not a permutation of 1..{n}: {p}")
         self.n = n
         self.members = tuple(mem)
-        self._dmin = _distance
 
     @property
     def size(self) -> int:
@@ -99,9 +98,7 @@ class PermutationCode:
         return len(self.members)
 
     def __repr__(self) -> str:
-        d = self._dmin
-        dtxt = f", d={d}" if d is not None else ""
-        return f"PermutationCode(n={self.n}, size={self.size}{dtxt})"
+        return f"PermutationCode(n={self.n}, size={self.size})"
 
 
 def _projectors(n: int, size: int) -> list:
@@ -112,7 +109,18 @@ def _projectors(n: int, size: int) -> list:
     return [operator.itemgetter(*s) for s in itertools.combinations(range(n), size)]
 
 
-def _projection_distance(members, budget: int) -> int | float:
+def code_min_distance(rows, budget: int = DEFAULT_VERIFY_BUDGET) -> int | float:
+    """Exact minimum pairwise distance of the rows; +inf for fewer than two.
+
+    Two distinct permutations of {1..n} are at distance <= t exactly when they
+    agree on some n - t positions (the pigeonhole behind
+    singleton_like_upper).  So after a duplicate check on whole rows, the
+    first t = 2, 3, ... at which two members share their entries on some
+    (n - t)-subset of positions is the minimum distance d.  For M members
+    that hashes at most M * (1 + sum of C(n, t) for 2 <= t <= d) keys, one
+    subset's set at a time; past ``budget`` keys it raises BudgetExceeded.
+    """
+    members = list(rows)
     m = len(members)
     if m < 2:
         return math.inf
@@ -135,29 +143,6 @@ def _projection_distance(members, budget: int) -> int | float:
         if any(collide(map(key, members)) for key in _projectors(n, n - t)):
             return t
     return n
-
-
-def code_min_distance(code, budget: int = DEFAULT_VERIFY_BUDGET) -> int | float:
-    """Exact minimum pairwise distance; +inf for empty or singleton sets.
-
-    Two distinct permutations of {1..n} are at distance <= t exactly when they
-    agree on some n - t positions (the pigeonhole behind
-    singleton_like_upper).  So after a duplicate check on whole rows, the
-    first t = 2, 3, ... at which two members share their entries on some
-    (n - t)-subset of positions is the minimum distance d.  For M members
-    that hashes at most M * (1 + sum of C(n, t) for 2 <= t <= d) keys, one
-    subset's set at a time; past ``budget`` keys it raises BudgetExceeded.
-    """
-    if isinstance(code, PermutationCode):
-        if code._dmin is not None:
-            return code._dmin
-        members = code.members
-    else:
-        members = list(code)
-    best = _projection_distance(members, budget)
-    if isinstance(code, PermutationCode):
-        code._dmin = best
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +185,11 @@ class ResidueSubgroupSpec(NamedTuple):
         return all(p[i - 1] % self.q == i % self.q for i in range(1, self.n + 1))
 
 
-def subgroup_K(spec: ResidueSubgroupSpec, budget: int = DEFAULT_SUBGROUP_BUDGET) -> PermutationCode:
+def subgroup_K(spec: ResidueSubgroupSpec) -> PermutationCode:
     """Enumerate K as a PermutationCode, identity first, deterministic order."""
     size = spec.order
-    if size > budget:
-        raise BudgetExceeded(f"|K| = {size} exceeds budget {budget}")
+    if size > DEFAULT_SUBGROUP_BUDGET:
+        raise BudgetExceeded(f"|K| = {size} exceeds budget {DEFAULT_SUBGROUP_BUDGET}")
     classes = spec.residue_classes()
     members = []
     for arrangement in itertools.product(
@@ -489,7 +474,7 @@ def construct_permutation_code(
             f"bucket distance {verified} fell below the guaranteed {d}"
         )
     _, floor = general_firstbound(n, q, k, len(members), ones_row=assume_ones_row)
-    pc = PermutationCode(n, bucket, _distance=verified)
+    pc = PermutationCode(n, bucket)
     cert = ConstructionCertificate(
         n=n,
         q=q,
@@ -626,7 +611,6 @@ def max_code_in_K(
     spec: ResidueSubgroupSpec,
     d: int,
     mode: str = "exact",
-    budget: int = DEFAULT_SUBGROUP_BUDGET,
     seed: int | None = None,
 ) -> PermutationCode:
     """Largest (exact mode) or greedily grown code inside K at distance >= d.
@@ -634,11 +618,10 @@ def max_code_in_K(
     Exact mode pins the identity (K is a group, so translation loses nothing)
     and runs branch-and-bound clique search; greedy mode runs one seeded pass.
     """
-    # refuse from |K| alone, without enumerating K; past the subgroup budget
-    # subgroup_K refuses it with its own message
-    if mode == "exact" and MAX_CLIQUE_VERTICES < spec.order <= budget:
+    # refuse from |K| alone, without enumerating K
+    if mode == "exact" and spec.order > MAX_CLIQUE_VERTICES:
         raise BudgetExceeded(f"|K| = {spec.order} is too large for exact clique search")
-    members = list(subgroup_K(spec, budget).members)
+    members = list(subgroup_K(spec).members)
     if mode == "exact":
         ident = identity_perm(spec.n)
         cands = [p for p in members if p != ident and perm_hamming(p, ident) >= d]
@@ -673,19 +656,20 @@ def max_code_in_K(
 # Binary codes and the involution lift
 
 
-def max_binary_code(r: int, d: int, budget: int = MAX_CLIQUE_VERTICES) -> tuple[int, tuple[tuple[int, ...], ...]]:
+def max_binary_code(r: int, d: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Exact A_2(r, d) with a witness, zero word pinned by translation
     invariance.  Returns (size, witness bit tuples).
 
-    The budget counts clique vertices, the words of weight >= d; past it the
-    search is refused from their count alone, before any word is built."""
+    The clique vertices are the words of weight >= d; past MAX_CLIQUE_VERTICES
+    of them the search is refused from their count alone, before any word is
+    built."""
     if r < 1 or d < 1:
         raise ParameterError("need r >= 1 and d >= 1")
-    if r > 24:
-        raise BudgetExceeded(f"2^{r} words is too many to enumerate")
     count = sum(math.comb(r, w) for w in range(d, r + 1))
-    if count > budget:
-        raise BudgetExceeded(f"{count} candidate words exceed the clique budget {budget}")
+    if count > MAX_CLIQUE_VERTICES:
+        raise BudgetExceeded(
+            f"{count} candidate words exceed the clique budget {MAX_CLIQUE_VERTICES}"
+        )
     # the words of weight >= d as bit tuples, most significant bit first, so
     # that tuple order is integer order
     words = sorted(

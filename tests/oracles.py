@@ -5,9 +5,10 @@ arithmetic from sympy's galoistools; none of them reuses the scan loops or
 the GF tables inside the package, so agreement between the two is evidence,
 not tautology.
 
-The helpers after them (exact small-case maxima, dual-MDS checks, the
-greedy ones-row check matrix) do reuse package code: the clique search, the
-distance scan, the parity check and row reduction.  They are reference
+The helpers after them (exact small-case maxima, the nonzero weight set,
+dual-MDS checks, the greedy ones-row check matrix) do reuse package code:
+the clique search, the codeword walk, the distance search, the parity check
+and row reduction.  They are reference
 computations that only the tests need.
 """
 
@@ -22,7 +23,9 @@ from sympy.polys.galoistools import gf_add, gf_mul, gf_rem, gf_strip
 from permcodes.errors import BudgetExceeded, NotInDual, ParameterError
 from permcodes.linear import (
     DEFAULT_DISTANCE_BUDGET,
+    LinearCode,
     MatrixGF,
+    _class_reps,
     dual,
     min_distance,
     parity_check,
@@ -217,6 +220,18 @@ def brute_force_max_code(n, d, budget=120):
 def brute_force_M(n, d, budget=120):
     """Exact M(n, d) for tiny n."""
     return brute_force_max_code(n, d, budget).size
+
+
+def nonzero_weight_set(code: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) -> set[int]:
+    """Exact set of weights of nonzero codewords."""
+    if code.spec.q**code.k > budget:
+        raise BudgetExceeded(
+            f"{code.spec.q}^{code.k} messages exceed budget {budget}"
+        )
+    weights = {code.n - v.count(0) for v in _class_reps(code)}
+    if code._dmin is None:
+        code._dmin = min(weights)
+    return weights
 
 
 def oracle_ones_row_check(code):

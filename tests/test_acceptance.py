@@ -30,7 +30,6 @@ from permcodes.linear import (
     find_full_weight_dual_codeword,
     in_dual,
     min_distance,
-    nonzero_weight_set,
     normalize_first_row_ones,
     random_code_search,
     rref,
@@ -52,7 +51,12 @@ from permcodes.perms import (
     syndrome_buckets,
 )
 
-from oracles import brute_force_M, oracle_label_sum, verify_dual_mds
+from oracles import (
+    brute_force_M,
+    nonzero_weight_set,
+    oracle_label_sum,
+    verify_dual_mds,
+)
 
 ENUM_CAP = 10**6
 

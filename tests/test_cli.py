@@ -173,6 +173,14 @@ def test_construct_budget_exit(capsys):
     assert rc == 4
 
 
+def test_construct_default_budget_refuses_a_large_sweep(capsys):
+    # the library's default of 50,000 translates holds without --budget
+    rc, out, err = run(capsys, "construct", "--source", "rs", "--q", "9", "--n", "9",
+                       "--k", "5", "--d", "5", "--gamma", "identity", "--seed", "1")
+    assert (rc, out) == (4, "")
+    assert err == "budget exceeded: sweep of 362880 translates exceeds budget 50000\n"
+
+
 def test_construct_beyond_ten_points(tmp_path, capsys):
     # n = 11 over GF(3): 11!/|K| = 11,550 cosets, within the default budget
     code_path = tmp_path / "code.txt"
@@ -325,6 +333,14 @@ def test_compare_amds_reports_dropped_rows(capsys):
     assert rc == 0
     assert "q=16" in err
     assert not any(line.startswith("16,") for line in out.splitlines())
+
+
+def test_compare_amds_long_binary_length(capsys):
+    # A_2(32, 31) has 33 candidate words, far inside the clique budget
+    rc, out, err = run(capsys, "compare", "--mode", "amds-vs-old",
+                       "--q", "32", "--alpha", "2", "--b", "31/32")
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[1].startswith("32,64,62,2,")
 
 
 def test_compare_amds_reports_non_integer_rows(capsys):

@@ -30,7 +30,6 @@ from permcodes.linear import (
     find_full_weight_dual_codeword,
     in_dual,
     min_distance,
-    nonzero_weight_set,
     normalize_first_row_ones,
     parity_check,
     parity_check_with_ones_row,
@@ -44,6 +43,7 @@ from permcodes.mds import extended_rs, reed_solomon
 
 from oracles import (
     check_columns_independent,
+    nonzero_weight_set,
     oracle_add,
     oracle_codewords,
     oracle_min_distance,

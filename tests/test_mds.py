@@ -8,12 +8,16 @@ from permcodes.linear import (
     LinearCode,
     dual,
     min_distance,
-    nonzero_weight_set,
     singleton_defect,
 )
 from permcodes.mds import extended_rs, reed_solomon
 
-from oracles import oracle_min_distance, oracle_weights, verify_dual_mds
+from oracles import (
+    nonzero_weight_set,
+    oracle_min_distance,
+    oracle_weights,
+    verify_dual_mds,
+)
 
 
 def test_rs_shape_and_distance():

@@ -269,10 +269,21 @@ def test_subgroup_enumeration_matches_membership():
                 assert compose(a, b) in mem
 
 
-def test_subgroup_budget():
-    spec = ResidueSubgroupSpec.for_params(7, 3)
-    with pytest.raises(BudgetExceeded):
-        subgroup_K(spec, budget=10)
+def _refuse_enumeration(monkeypatch):
+    # enumerating K starts from its residue classes; a refusal from |K| never
+    # gets that far
+    def enumerate_k(*args, **kwargs):
+        raise AssertionError("K was enumerated")
+
+    monkeypatch.setattr(ResidueSubgroupSpec, "residue_classes", enumerate_k)
+
+
+def test_subgroup_budget(monkeypatch):
+    spec = ResidueSubgroupSpec.for_params(12, 2)
+    assert spec.order == 518_400
+    _refuse_enumeration(monkeypatch)
+    with pytest.raises(BudgetExceeded, match=r"^\|K\| = 518400 exceeds budget 100000$"):
+        subgroup_K(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -458,13 +469,21 @@ def test_max_binary_code_budget_and_validation():
 
 
 def test_max_binary_code_refuses_from_the_count_alone():
-    # sum of C(24, w) for w >= 1 words, refused before any is built
-    start = time.perf_counter()
-    with pytest.raises(
-        BudgetExceeded, match=r"^16777215 candidate words exceed the clique budget 4096$"
-    ):
-        max_binary_code(24, 1)
-    assert time.perf_counter() - start < 0.1
+    # sum of C(r, w) for w >= 1 words, refused before any is built
+    for r, count in ((24, 16_777_215), (60, 1_152_921_504_606_846_975)):
+        start = time.perf_counter()
+        with pytest.raises(
+            BudgetExceeded, match=rf"^{count} candidate words exceed the clique budget 4096$"
+        ):
+            max_binary_code(r, 1)
+        assert time.perf_counter() - start < 0.1
+
+
+def test_max_binary_code_has_no_length_cap():
+    # r = 32 has 2^32 words, but only 33 of them weigh at least 31
+    size, witness = max_binary_code(32, 31)
+    assert size == 2
+    assert witness[0] == (0,) * 32 and sum(witness[1]) >= 31
 
 
 def test_binary_lift_doubles_distances_exhaustively():
@@ -530,11 +549,17 @@ def test_max_code_in_K_matches_subset_oracle(n, q, d):
 
 
 def test_max_code_in_K_refuses_a_large_K_without_enumerating_it(monkeypatch):
+    # greedy mode enumerates K, so past the subgroup budget subgroup_K refuses
+    with monkeypatch.context() as patch:
+        _refuse_enumeration(patch)
+        with pytest.raises(
+            BudgetExceeded, match=r"^\|K\| = 518400 exceeds budget 100000$"
+        ):
+            max_code_in_K(ResidueSubgroupSpec.for_params(12, 2), 3, mode="greedy", seed=1)
+
+    # exact mode refuses any K with more vertices than the clique budget
     spec = ResidueSubgroupSpec.for_params(13, 3)
     assert MAX_CLIQUE_VERTICES < spec.order == 69_120
-    # past the subgroup budget the refusal is still subgroup_K's own
-    with pytest.raises(BudgetExceeded, match=r"^\|K\| = 69120 exceeds budget 1000$"):
-        max_code_in_K(spec, 3, budget=1000)
 
     def enumerate_k(*args, **kwargs):
         raise AssertionError("K was enumerated")
@@ -672,6 +697,17 @@ def test_construct_budget_counts_translates():
     assert (cert.coset_count, cert.sweep_size) == (360, 720)
     with pytest.raises(BudgetExceeded, match="sweep of 720 translates exceeds budget 719"):
         construct_permutation_code(work, gamma, budget=719)
+
+
+def test_construct_default_budget_is_the_cli_default():
+    # [9,5,5]_9 with trivial K: 9! cosets of one translate each, past the
+    # 50,000-translate default; --budget 362880 builds the 560-row code
+    code = reed_solomon(9, 9, 5)
+    work = normalize_first_row_ones(code, find_full_weight_dual_codeword(code, seed=1))
+    with pytest.raises(
+        BudgetExceeded, match=r"^sweep of 362880 translates exceeds budget 50000$"
+    ):
+        construct_permutation_code(work, [identity_perm(9)], seed=1)
 
 
 def test_syndrome_buckets_partition_the_sweep():
