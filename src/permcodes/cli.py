@@ -238,7 +238,9 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     n, size, dval, rows = perms.read_permutation_code(args.file)
-    recomputed = perms.code_min_distance(rows, **_budget(args))
+    # the search starts at the distance the file claims; its result is exact
+    expected = dval if dval != math.inf else args.d or 2
+    recomputed = perms.code_min_distance(rows, expected, **_budget(args))
     problems: list[str] = []
     if len(rows) != size:
         problems.append(f"header declares {size} rows, file has {len(rows)}")

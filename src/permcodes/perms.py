@@ -101,24 +101,50 @@ class PermutationCode:
         return f"PermutationCode(n={self.n}, size={self.size})"
 
 
-def _projectors(n: int, size: int) -> list:
-    """One key function per size-subset of the n positions: it maps a
-    permutation to its entries on that subset."""
-    if size == 0:
-        return [lambda p: ()]
-    return [operator.itemgetter(*s) for s in itertools.combinations(range(n), size)]
+def _pack_rows(rows, n: int) -> tuple[list[int], list[int]]:
+    """The rows as ints, entry i in bits [b*i, b*i + b) with b = n.bit_length(),
+    and the mask of each position's field.
+
+    A projection onto a set of positions is then ``row & mask`` with the
+    positions' fields ORed into one mask.  Entries must lie in 1..n, so that
+    each fits its field and two rows share a projection exactly when they
+    agree on those positions.
+    """
+    if not set(itertools.chain.from_iterable(rows)) <= set(range(1, n + 1)):
+        raise ParameterError(f"entries must lie in 1..{n}")
+    b = n.bit_length()
+    shifts = range(0, b * n, b)
+    fields = [((1 << b) - 1) << s for s in shifts]
+    return [sum(map(operator.lshift, p, shifts)) for p in rows], fields
 
 
-def code_min_distance(rows, budget: int = DEFAULT_VERIFY_BUDGET) -> int | float:
+def _subset_masks(fields: list[int], size: int):
+    """The projection mask of every size-subset of the positions."""
+    return (
+        sum(map(fields.__getitem__, s))
+        for s in itertools.combinations(range(len(fields)), size)
+    )
+
+
+def code_min_distance(
+    rows, expected: int = 2, budget: int = DEFAULT_VERIFY_BUDGET
+) -> int | float:
     """Exact minimum pairwise distance of the rows; +inf for fewer than two.
 
     Two distinct permutations of {1..n} are at distance <= t exactly when they
     agree on some n - t positions (the pigeonhole behind
     singleton_like_upper).  So after a duplicate check on whole rows, the
-    first t = 2, 3, ... at which two members share their entries on some
-    (n - t)-subset of positions is the minimum distance d.  For M members
-    that hashes at most M * (1 + sum of C(n, t) for 2 <= t <= d) keys, one
-    subset's set at a time; past ``budget`` keys it raises BudgetExceeded.
+    least t >= 2 at which two members share their entries on some
+    (n - t)-subset of positions is the minimum distance d.
+
+    ``expected`` only picks where the search starts; the result is exact
+    for any value.  Level t0 = expected - 1, clamped to 2..n-1, is tested
+    first: with no collision there d > t0 and the search goes up from
+    t0 + 1, else it goes up from 2 to t0 - 1.  For M rows at distance
+    d = expected that hashes M * (1 + C(n, d - 1)) keys plus the subsets
+    tried at d until the first collision, one subset's set at a time; past
+    ``budget`` keys (the duplicate check included) it raises
+    BudgetExceeded.  Entries outside 1..n raise ParameterError.
     """
     members = list(rows)
     m = len(members)
@@ -127,22 +153,33 @@ def code_min_distance(rows, budget: int = DEFAULT_VERIFY_BUDGET) -> int | float:
     n = len(members[0])
     if any(len(p) != n for p in members):
         raise LengthMismatch("permutations act on different sets")
+    packed, fields = _pack_rows(members, n)
     hashed = 0
 
-    def collide(keys) -> bool:
+    def collide(mask: int) -> bool:
         nonlocal hashed
         hashed += m
         if hashed > budget:
             raise BudgetExceeded(f"distance check needs more than {budget} projection keys")
-        return len(set(keys)) < m
+        return len(set(map(mask.__and__, packed))) < m
 
-    if collide(members):
+    def first_collision(levels) -> int | None:
+        for t in levels:
+            if any(map(collide, _subset_masks(fields, n - t))):
+                return t
+        return None
+
+    if collide(sum(fields)):
         return 0
-    # Distinct permutations never differ in exactly one place: start at t = 2.
-    for t in range(2, n):
-        if any(collide(map(key, members)) for key in _projectors(n, n - t)):
-            return t
-    return n
+    # Distinct permutations never differ in exactly one place: t starts at 2.
+    if n < 3:
+        return n
+    t0 = min(max(expected - 1, 2), n - 1)
+    if first_collision([t0]) is None:
+        found = first_collision(range(t0 + 1, n))
+        return n if found is None else found
+    found = first_collision(range(2, t0))
+    return t0 if found is None else found
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +259,14 @@ class SyndromeTable:
       residue class packed in mixed radix; with L labels left, the next
       position is n - L;
     * ``tables[state]`` is a sparse {suffix syndrome: arrangements} dict,
-      the syndrome packed as a big-endian base-q index, so that integer
-      order is tuple order;
+      the syndrome packed into one int: each GF(q) entry, q = p^m, is its m
+      base-p digits, each in a field of b = (p - 1).bit_length() + 1 bits,
+      entries big-endian and digits most significant first, so that
+      integer order is tuple order;
+    * two packed syndromes add field-wise mod p with a few big-int
+      operations and no per-digit loop (SIMD within a register): a field
+      sum is at most 2p - 2 < 2^b, so no carry crosses fields, and p is
+      taken back from exactly the fields that reach p (see _add_index);
     * the shift v -> v + label * column_i is cached per (position, label),
       for the indices the DP reaches only.
 
@@ -237,14 +280,26 @@ class SyndromeTable:
     def __init__(self, check: MatrixGF, ones_row: bool) -> None:
         spec = check.spec
         q, n = spec.q, check.ncols
-        self._add, self._mul, self._neg, _ = spec.tables()
-        self.q, self.check = q, check
+        add, self._mul, self._neg, _ = spec.tables()
+        self.check = check
         rows = check.rows[1:] if ones_row else check.rows
         self._columns = [tuple(row[i] for row in rows) for i in range(n)]
         self._width = len(rows)
+        p, m = spec.p, spec.m
+        b = (p - 1).bit_length() + 1
+        # spread[x]: the digit fields of element x (digit j is x // p^j % p)
+        self._spread = [
+            sum(x // p**j % p << b * j for j in range(m)) for x in range(q)
+        ]
+        self._element = {v: x for x, v in enumerate(self._spread)}
+        self._entry_bits = b * m
+        low = sum(1 << b * j for j in range(m * self._width))
+        self._p, self._top = p, b - 1
+        self._bias = low * ((1 << b - 1) - p)  # a field reaches 2^(b-1) iff it held >= p
+        self._high = low << b - 1
         label_sum = 0
         for v in range(1, n + 1):
-            label_sum = self._add[label_sum][v % q]
+            label_sum = add[label_sum][v % q]
         self._prefix = (label_sum,) if ones_row else ()
         self._shifts: dict[tuple[int, int], tuple[dict[int, int] | None, int]] = {}
         # per state, for representatives: (value, state after it, its table,
@@ -265,6 +320,9 @@ class SyndromeTable:
         self._moves: list[list[tuple[int, int, int]]] = []
         self.tables: list[dict[int, int]] = []
         add_index = self._add_index
+        # one int object per distinct index: the tables hold up to n times
+        # the coset count entries, but far fewer distinct syndromes
+        canon: dict[int, int] = {}
         for state in range(radix):
             moves, left = [], 0
             for label, values, rad in classes:
@@ -286,7 +344,8 @@ class SyndromeTable:
                 for v, cnt in child.items():
                     u = shift.get(v)
                     if u is None:
-                        u = shift[v] = add_index(v, w)
+                        u = add_index(v, w)
+                        u = shift[v] = canon.setdefault(u, u)
                     out[u] = get(u, 0) + cnt
             self.tables.append(out)
         self.counts: dict[tuple[int, ...], int] = {
@@ -299,29 +358,31 @@ class SyndromeTable:
         key = (i, a)
         got = self._shifts.get(key)
         if got is None:
-            w = 0
-            for h in self._columns[i]:
-                w = w * self.q + self._mul[a][h]
+            mul = self._mul[a]
+            w = self._pack(mul[h] for h in self._columns[i])
             got = self._shifts[key] = ({} if w else None, w)
         return got
 
+    def _pack(self, vector) -> int:
+        """The packed index of a vector over GF(q)."""
+        spread, bits = self._spread, self._entry_bits
+        v = 0
+        for x in vector:
+            v = v << bits | spread[x]
+        return v
+
     def _add_index(self, u: int, v: int) -> int:
-        """u + v, digit by digit in GF(q)."""
-        add, q = self._add, self.q
-        out, place = 0, 1
-        for _ in range(self._width):
-            u, x = divmod(u, q)
-            v, y = divmod(v, q)
-            out += add[x][y] * place
-            place *= q
-        return out
+        """u + v entry-wise in GF(q): every digit field at once, mod p."""
+        s = u + v
+        return s - ((s + self._bias & self._high) >> self._top) * self._p
 
     def _digits(self, v: int) -> tuple[int, ...]:
-        digits = []
-        for _ in range(self._width):
-            v, x = divmod(v, self.q)
-            digits.append(x)
-        return tuple(reversed(digits))
+        """The vector over GF(q) that v packs."""
+        element, bits = self._element, self._entry_bits
+        entry = (1 << bits) - 1
+        return tuple(
+            element[v >> bits * i & entry] for i in reversed(range(self._width))
+        )
 
     def representatives(self, syndrome) -> list[Perm]:
         """The lexicographically first member of each coset with this
@@ -335,9 +396,7 @@ class SyndromeTable:
         syndrome = tuple(syndrome)
         if syndrome not in self.counts:
             return []
-        need = 0
-        for x in syndrome[len(self._prefix) :]:
-            need = need * self.q + x
+        need = self._pack(syndrome[len(self._prefix) :])
         tables, plans, add_index = self.tables, self._plans, self._add_index
         reps: list[Perm] = []
         prefix: list[int] = []
@@ -455,7 +514,7 @@ def construct_permutation_code(
     for g in members:
         if not kspec.contains(g):
             raise PreconditionViolated(f"{g} is outside the residue subgroup")
-    if code_min_distance(members) < d:
+    if code_min_distance(members, d) < d:
         raise PreconditionViolated(
             "gamma_prime min distance is below the code distance"
         )
@@ -468,7 +527,7 @@ def construct_permutation_code(
     counts, table = syndrome_buckets(code, assume_ones_row)
     syndrome, _ = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     bucket = [compose(g, rep) for rep in table.representatives(syndrome) for g in members]
-    verified = code_min_distance(bucket)
+    verified = code_min_distance(bucket, d)
     if verified < d:
         raise VerificationFailed(
             f"bucket distance {verified} fell below the guaranteed {d}"
@@ -635,18 +694,19 @@ def max_code_in_K(
         random.Random(seed).shuffle(order)
         # p is within distance d - 1 of a chosen word exactly when the two
         # agree on some n - d + 1 positions: keep one set per such subset.
-        index = [(key, set()) for key in _projectors(spec.n, max(spec.n - d + 1, 0))]
+        packed, fields = _pack_rows(members, spec.n)
+        index = [(mask, set()) for mask in _subset_masks(fields, max(spec.n - d + 1, 0))]
         chosen = []
         for idx in order:
-            p = members[idx]
-            if all(key(p) not in seen for key, seen in index):
-                chosen.append(p)
-                for key, seen in index:
-                    seen.add(key(p))
+            p = packed[idx]
+            if all(p & mask not in seen for mask, seen in index):
+                chosen.append(members[idx])
+                for mask, seen in index:
+                    seen.add(p & mask)
     else:
         raise ParameterError(f"unknown mode {mode!r}")
     pc = PermutationCode(spec.n, chosen)
-    dist = code_min_distance(pc)
+    dist = code_min_distance(pc, d)
     if dist < d:
         raise VerificationFailed("selected set fails its own distance floor")
     return pc

@@ -228,10 +228,7 @@ def nonzero_weight_set(code: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) 
         raise BudgetExceeded(
             f"{code.spec.q}^{code.k} messages exceed budget {budget}"
         )
-    weights = {code.n - v.count(0) for v in _class_reps(code)}
-    if code._dmin is None:
-        code._dmin = min(weights)
-    return weights
+    return {code.n - v.count(0) for v in _class_reps(code)}
 
 
 def oracle_ones_row_check(code):

@@ -21,6 +21,7 @@ from permcodes.errors import (
     ParameterError,
     ParseError,
 )
+from permcodes import linear
 from permcodes.gf import field_make
 from permcodes.linear import (
     LinearCode,
@@ -276,7 +277,7 @@ def test_ones_row_check_matches_the_greedy_oracle(drawn):
             assert parity_check_with_ones_row(code) == want
 
 
-def test_normalize_first_row_ones_preserves_metric():
+def test_normalize_first_row_ones_preserves_metric(monkeypatch):
     code = reed_solomon(7, 6, 4)
     w = find_full_weight_dual_codeword(code, seed=7)
     assert w is not None
@@ -284,7 +285,12 @@ def test_normalize_first_row_ones_preserves_metric():
     norm = normalize_first_row_ones(code, w)
     assert in_dual(norm, (1,) * code.n)
     assert nonzero_weight_set(norm) == nonzero_weight_set(code)
+    # the oracle leaves no cached distance behind: both sides are searched
+    searched = []
+    search = linear._information_sets
+    monkeypatch.setattr(linear, "_information_sets", lambda c: searched.append(c) or search(c))
     assert min_distance(norm) == min_distance(code)
+    assert any(c is norm for c in searched)
     # and the combined pipeline yields a usable ones-row check matrix
     h = parity_check_with_ones_row(norm)
     assert set(h.rows[0]) == {1}

@@ -6,6 +6,7 @@ upper bound n!/(d-1)! provides the matching cap, so each equality is forced
 before oracles.brute_force_M is ever consulted.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -28,6 +29,7 @@ from permcodes.errors import (
 from permcodes.gf import field_make, is_prime_power
 from permcodes.linear import (
     LinearCode,
+    MatrixGF,
     find_full_weight_dual_codeword,
     min_distance,
     normalize_first_row_ones,
@@ -40,6 +42,7 @@ from permcodes.perms import (
     MAX_CLIQUE_VERTICES,
     PermutationCode,
     ResidueSubgroupSpec,
+    SyndromeTable,
     _distance_graph,
     _max_clique,
     binary_lift,
@@ -61,6 +64,7 @@ from permcodes.perms import (
 from oracles import (
     brute_force_M,
     brute_force_max_code,
+    oracle_add,
     oracle_code_distance,
     oracle_coset_representatives,
     oracle_distance_graph,
@@ -151,6 +155,39 @@ def permutation_lists(draw):
 def test_code_min_distance_matches_pair_loop(rows):
     want = oracle_code_distance(rows)
     assert code_min_distance(rows) == (math.inf if want is None else want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(permutation_lists())
+def test_code_min_distance_is_exact_from_any_start(rows):
+    # the expected distance only picks the first level tested
+    want = oracle_code_distance(rows)
+    want = math.inf if want is None else want
+    n = len(rows[0]) if rows else 1
+    for expected in range(n + 3):
+        assert code_min_distance(rows, expected) == want, expected
+
+
+def test_code_min_distance_starts_at_the_expected_distance():
+    # 567 rows at distance 5 in S_9: started at 5 the check hashes the
+    # duplicate pass, level 4 (C(9, 4) masks) and at most the C(9, 5) masks
+    # of level 5; started at 2 it must also clear levels 2 and 3, and runs
+    # out of keys inside level 5
+    pc, cert = construct_permutation_code(
+        reed_solomon(9, 9, 5), [identity_perm(9)], assume_ones_row=False, budget=362880
+    )
+    rows, m = list(pc.members), pc.size
+    assert (m, cert.verified_distance) == (567, 5)
+    c = functools.partial(math.comb, 9)
+    assert code_min_distance(rows, 5, budget=m * (1 + c(4) + c(5))) == 5
+    with pytest.raises(BudgetExceeded):
+        code_min_distance(rows, 2, budget=m * (1 + c(2) + c(3) + c(4)))
+    assert code_min_distance(rows, 2) == 5
+
+
+def test_code_min_distance_rejects_entries_outside_1_to_n():
+    with pytest.raises(ParameterError):
+        code_min_distance([(1, 2, 3), (1, 2, 4)])
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +339,25 @@ def test_label_sum_is_constant_over_permutations():
         for i in p:
             acc = add[acc][i % 5]
         assert acc == want
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32])
+def test_syndrome_packing_adds_field_wise(q):
+    # the DP's packed syndromes against galoistools sums, for widths 1..6
+    spec = field_make(q)
+    rng = random.Random(q)
+    for width in range(1, 7):
+        check = MatrixGF(spec, [[rng.randrange(q) for _ in range(2)] for _ in range(width)])
+        table = SyndromeTable(check, ones_row=False)
+        vectors = [tuple(rng.randrange(q) for _ in range(width)) for _ in range(40)]
+        vectors += [(0,) * width, (q - 1,) * width]
+        for x in vectors:
+            assert table._digits(table._pack(x)) == x
+            for y in vectors[:8]:
+                total = table._add_index(table._pack(x), table._pack(y))
+                want = tuple(oracle_add(spec, a, b) for a, b in zip(x, y))
+                assert table._digits(total) == want, (q, x, y)
+                assert (table._pack(x) < table._pack(y)) == (x < y)
 
 
 def systematic_code(q, a_block, ones_in_dual):
