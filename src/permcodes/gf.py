@@ -241,15 +241,8 @@ def field_make(q: int) -> FieldSpec:
     if spec is not None:
         return spec
     pp = factor_prime_power(q)
-    if pp.m == 1:
-        modulus: tuple[int, ...] = (0, 1)
-    else:
-        modulus = None
-        for f in _monic_polys(pp.m, pp.p):
-            if _is_irreducible(f, pp.p):
-                modulus = f
-                break
-        assert modulus is not None
+    # degree 1: x = (0, 1) comes first and has no divisor to try
+    modulus = next(f for f in _monic_polys(pp.m, pp.p) if _is_irreducible(f, pp.p))
     spec = FieldSpec(pp.p, pp.m, modulus)
     _SPEC_CACHE[q] = spec
     return spec

@@ -5,15 +5,15 @@ belong to rides along on the object.  All distance work is exact.
 min_distance is the Brouwer-Zimmermann information-set search: it enumerates
 low-weight messages on several systematic generators and stops once a lower
 bound on the weight of every word not yet met reaches the lightest word
-found.  The exhaustive dual search walks every word, one representative per
-scalar class of messages (first nonzero message coordinate pinned to 1), in
-message product order, by a DFS that carries the partial sum through
-precomputed add-table rows.
+found.  The full-weight dual search only forms combinations of the
+parity-check rows with every coefficient nonzero: no other dual word can
+have full weight.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import product
 from operator import eq
 from pathlib import Path
 
@@ -145,35 +145,7 @@ class LinearCode:
 
 
 # ---------------------------------------------------------------------------
-# Codeword enumeration
-
-
-def _class_reps(code: LinearCode):
-    """Yield one nonzero codeword per scalar class, in message product order.
-
-    The representative of a class is the word whose first nonzero message
-    coordinate is 1.  Leads run from the last message position to the first;
-    after each lead a DFS takes every coefficient of each later position in
-    turn, carrying the partial sum through the precomputed add-table rows of
-    the scaled generator rows.  Weights are invariant under scalar
-    multiplication, so the walk is exhaustive for them.  The yielded lists
-    are never mutated afterwards.
-    """
-    add, mul, _, _ = code.spec.tables()
-    rows = code.generator.rows
-    k = len(rows)
-    # shifts[i][c][j] is the add-table row that adds c * rows[i][j]
-    shifts = [[[add[mul[c][x]] for x in row] for c in range(code.spec.q)] for row in rows]
-
-    def extend(v, i):
-        if i == k:
-            yield v
-            return
-        for shift in shifts[i]:
-            yield from extend([s[x] for s, x in zip(shift, v)], i + 1)
-
-    for lead in range(k - 1, -1, -1):
-        yield from extend(list(rows[lead]), lead + 1)
+# Minimum distance
 
 
 def _information_sets(code: LinearCode) -> list[tuple[int, list[list[int]]]]:
@@ -382,12 +354,16 @@ def find_full_weight_dual_codeword(
 ) -> tuple[int, ...] | None:
     """Search for a dual codeword with no zero coordinate.
 
-    Randomized route (valid when k <= q-2 and the parity check H has no zero
-    column): w = -sum m_j H_j with each m_j a uniform nonzero scalar, drawn
-    in row order.  w is nonzero off the pivots, and each pivot entry is a
+    Row j of the parity check H is 1 on the j-th non-pivot column and 0 on
+    the other non-pivot columns, so w = sum m_j H_j has full weight only if
+    every m_j is nonzero; both routes form only such w, at most budget each.
+    The randomized route (k <= q-2 and no zero column of H) draws each m_j
+    as minus a uniform nonzero scalar, in row order; each pivot entry is a
     nonzero linear form in the m_j, so a trial succeeds with probability at
-    least 1 - k/(q-1).  Falls back to exhaustive dual enumeration when
-    q^(n-k) <= budget.  Returns None when both routes come up empty.
+    least 1 - k/(q-1).  The exhaustive route ((q-1)^(n-k-1) <= budget) fixes
+    m_0 = 1, as scalar multiples share a weight, and runs the other m_j over
+    the nonzero scalars in product order, so it returns the first full-weight
+    dual word in message order.  Returns None when both come up empty.
     """
     spec = code.spec
     q = spec.q
@@ -395,21 +371,25 @@ def find_full_weight_dual_codeword(
     add, mul, neg, _ = spec.tables()
     H = parity_check(code).rows
 
-    if k <= q - 2 and all(any(col) for col in zip(*H)):
-        rng = random.Random(seed)
-        for _ in range(budget):
+    def first_full_weight(messages):
+        for m in messages:
             w = [0] * n
-            for row in H:
-                scaled = mul[neg[rng.randrange(1, q)]]
+            for c, row in zip(m, H):
+                scaled = mul[c]
                 w = [add[x][scaled[y]] for x, y in zip(w, row)]
             if all(w):
                 w = tuple(w)
                 assert in_dual(code, w)
                 return w
+        return None
 
-    if q ** (n - k) <= budget:
-        return next((tuple(v) for v in _class_reps(dual(code)) if all(v)), None)
-    return None
+    w = None
+    if k <= q - 2 and all(any(col) for col in zip(*H)):
+        rng = random.Random(seed)
+        w = first_full_weight([neg[rng.randrange(1, q)] for _ in H] for _ in range(budget))
+    if w is None and (q - 1) ** (n - k - 1) <= budget:
+        w = first_full_weight((1, *m) for m in product(range(1, q), repeat=n - k - 1))
+    return w
 
 
 # ---------------------------------------------------------------------------

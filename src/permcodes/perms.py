@@ -21,7 +21,7 @@ import math
 import operator
 import random
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .bounds import general_firstbound
 from .errors import (
@@ -399,9 +399,10 @@ class SyndromeTable:
         need = self._pack(syndrome[len(self._prefix) :])
         tables, plans, add_index = self.tables, self._plans, self._add_index
         reps: list[Perm] = []
-        prefix: list[int] = []
-
-        def extend(state: int, need: int) -> None:
+        # (state, syndrome still needed, prefix), pushed in reverse move order
+        stack = [(len(tables) - 1, need, ())]
+        while stack:
+            state, need, prefix = stack.pop()
             plan = plans.get(state)
             if plan is None:
                 i = len(prefix)
@@ -409,7 +410,7 @@ class SyndromeTable:
                     (value, state - rad, tables[state - rad], *self._shift(i, self._neg[label]))
                     for value, label, rad in self._moves[state]
                 ]
-            for value, child, table, shift, w in plan:
+            for value, child, table, shift, w in reversed(plan):
                 rest = need
                 if shift is not None:
                     rest = shift.get(need)
@@ -418,13 +419,9 @@ class SyndromeTable:
                 if rest not in table:
                     continue
                 if child:
-                    prefix.append(value)
-                    extend(child, rest)
-                    prefix.pop()
+                    stack.append((child, rest, (*prefix, value)))
                 else:
                     reps.append((*prefix, value))
-
-        extend(len(tables) - 1, need)
         return reps
 
 
@@ -558,15 +555,15 @@ def construct_permutation_code(
 # Exact clique machinery
 
 
-def _greedy_orders(n: int, neigh: list[int]) -> list[list[int]]:
-    orders = [list(range(n))]
-    orders.append(sorted(range(n), key=lambda v: -neigh[v].bit_count()))
+def _greedy_orders(n: int, neigh: list[int]) -> Iterator[list[int]]:
+    """Vertex orders for the greedy seeding, made one at a time: n ints each."""
+    yield list(range(n))
+    yield sorted(range(n), key=lambda v: -neigh[v].bit_count())
     rng = random.Random(987654321)
     for _ in range(6):
         o = list(range(n))
         rng.shuffle(o)
-        orders.append(o)
-    return orders
+        yield o
 
 
 def _max_clique(neigh: list[int]) -> list[int]:

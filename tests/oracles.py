@@ -7,9 +7,9 @@ not tautology.
 
 The helpers after them (exact small-case maxima, the nonzero weight set,
 dual-MDS checks, the greedy ones-row check matrix) do reuse package code:
-the clique search, the codeword walk, the distance search, the parity check
-and row reduction.  They are reference
-computations that only the tests need.
+the clique search, the GF tables, the distance search, the parity check
+and row reduction.  They are reference computations that only the tests
+need.
 """
 
 import functools
@@ -25,7 +25,6 @@ from permcodes.linear import (
     DEFAULT_DISTANCE_BUDGET,
     LinearCode,
     MatrixGF,
-    _class_reps,
     dual,
     min_distance,
     parity_check,
@@ -228,7 +227,17 @@ def nonzero_weight_set(code: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) 
         raise BudgetExceeded(
             f"{code.spec.q}^{code.k} messages exceed budget {budget}"
         )
-    return {code.n - v.count(0) for v in _class_reps(code)}
+    add, mul, _, _ = code.spec.tables()
+    rows = code.generator.rows
+    weights = set()
+    # one message per scalar class, its first nonzero coordinate 1: the words
+    # of each lead, extended one later row at a time, in product order
+    for lead in range(code.k):
+        words = [rows[lead]]
+        for row in rows[lead + 1 :]:
+            words = [[add[x][s[y]] for x, y in zip(w, row)] for w in words for s in mul]
+        weights.update(code.n - w.count(0) for w in words)
+    return weights
 
 
 def oracle_ones_row_check(code):

@@ -198,6 +198,20 @@ def test_construct_beyond_ten_points(tmp_path, capsys):
     assert out.strip().endswith("PASS")
 
 
+def test_construct_finds_the_ones_word_of_a_long_repetition_code(tmp_path, capsys):
+    # the dual of [18,1]_2 has 2^17 words, but the one full-weight candidate
+    # is the all-ones word, which is in it
+    p = tmp_path / "rep.txt"
+    p.write_text("2 18 1\n" + " ".join(["1"] * 18) + "\n")
+    rc, out, err = run(capsys, "construct", "--source", "file", "--code-file", str(p),
+                       "--d", "18", "--gamma", "identity", "--seed", "1")
+    assert (rc, err) == (0, "")
+    assert out == (
+        "constructed: n=18 q=2 k=1 d=18 size=2 floor=1 distance=18 "
+        "syndrome=1 0 0 0 0 0 0 0 0 1 1 1 1 1 1 1 1\n"
+    )
+
+
 def test_construct_rs_needs_params(capsys):
     rc, _, err = run(capsys, "construct", "--d", "3", "--source", "rs", "--seed", "1")
     assert rc == 1

@@ -1,8 +1,8 @@
 """Linear code machinery against small brute-force oracles.
 
 The oracles enumerate the full message space with plain field arithmetic
-and touch neither the codeword walk nor the information-set search used by
-min_distance, so agreement is meaningful.
+and touch neither the package's field tables nor the information-set search
+used by min_distance, so agreement is meaningful.
 """
 
 import itertools
@@ -26,7 +26,6 @@ from permcodes.gf import field_make
 from permcodes.linear import (
     LinearCode,
     MatrixGF,
-    _class_reps,
     dual,
     find_full_weight_dual_codeword,
     in_dual,
@@ -87,19 +86,6 @@ def test_weight_set_matches_oracle(name, make):
     assert nonzero_weight_set(code) == oracle_weights(code)
 
 
-@pytest.mark.parametrize("name,make", SMALL_CODES, ids=[n for n, _ in SMALL_CODES])
-def test_codewords_match_oracle(name, make):
-    # the walk meets the messages with first nonzero coordinate 1 in product
-    # order, and their multiples by nonzero scalars, with zero, are the code
-    code = make()
-    spec, words = code.spec, oracle_codewords(code)
-    msgs = itertools.product(range(spec.q), repeat=code.k)
-    reps = [tuple(v) for v in _class_reps(code)]
-    assert reps == [w for m, w in zip(msgs, words) if next((c for c in m if c), 0) == 1]
-    every = [tuple(oracle_mul(spec, c, x) for x in v) for v in reps for c in range(1, spec.q)]
-    assert sorted(every + [(0,) * code.n]) == sorted(words)
-
-
 @st.composite
 def generators(draw, qs=(2, 3, 4, 5, 7, 8, 9, 16), max_messages=math.inf):
     """A full-rank k x n generator over GF(q), n <= 9, 1 <= k <= n - 1 and
@@ -137,7 +123,6 @@ def test_min_distance_matches_oracle_on_drawn_codes(drawn):
 
 def test_codeword_count_and_distance_cache():
     code = reed_solomon(5, 4, 2)
-    assert (code.spec.q - 1) * len(list(_class_reps(code))) + 1 == 25
     assert code.d is None
     got = min_distance(code)
     assert code.d == got == 3
@@ -352,6 +337,29 @@ def test_full_weight_fallback_returns_first_word_in_message_order():
         assert find_full_weight_dual_codeword(code, seed=1) == want, code
         found += want is not None
     assert found >= 20
+
+
+def test_full_weight_search_covers_long_repetition_codes():
+    # the dual of [n,1]_2 has 2^(n-1) words, more than the default budget for
+    # n = 18, but the one combination of check rows with no zero coefficient
+    # is the all-ones word, which lies in the dual for even n only
+    spec = field_make(2)
+    assert find_full_weight_dual_codeword(LinearCode(spec, [[1] * 18]), seed=1) == (1,) * 18
+    assert find_full_weight_dual_codeword(LinearCode(spec, [[1] * 17]), seed=1) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(generators(max_messages=1024), st.integers(0, 100))
+def test_full_weight_search_matches_the_dual_oracle(drawn, seed):
+    # the drawn rows generate the dual, so q^(n-k) <= 1024 words to check
+    spec, rows = drawn
+    code = dual(LinearCode(spec, rows))
+    w = find_full_weight_dual_codeword(code, seed=seed)
+    words = oracle_codewords(dual(code))
+    if w is None:
+        assert not any(all(v) for v in words)
+    else:
+        assert all(w) and w in words
 
 
 @pytest.mark.parametrize("make,seed,route,want", [

@@ -7,10 +7,12 @@ before oracles.brute_force_M is ever consulted.
 """
 
 import functools
+import gc
 import itertools
 import math
 import random
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -434,6 +436,21 @@ def test_coset_representatives_cover_everything():
                 assert t not in seen
                 seen.add(t)
     assert len(seen) == math.factorial(n)
+
+
+def test_listing_representatives_leaves_no_cycle():
+    # reference counting alone frees the table and its DP tables once the
+    # last reference goes: nothing in the listing refers back to it
+    gc.disable()
+    try:
+        counts, table = syndrome_buckets(reed_solomon(9, 9, 5), False)
+        syn = max(counts, key=counts.get)
+        assert len(table.representatives(syn)) == counts[syn]
+        ref = weakref.ref(table)
+        del table
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize(
