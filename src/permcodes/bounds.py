@@ -166,21 +166,21 @@ def ratio_new_old(n: int, d: int) -> tuple[Fraction, Fraction]:
     return ratio, envelope_new_old(n, d)
 
 
+def amds_grid_point(q: int, alpha: Fraction, b: Fraction) -> tuple[int, int]:
+    """(n, d) = (alpha q, b n) on the scaling family; both must be integers."""
+    n = Fraction(alpha) * q
+    d = Fraction(b) * n
+    if n.denominator != 1 or d.denominator != 1:
+        raise ParameterError(f"n = {n} and d = {d} must be integers")
+    return int(n), int(d)
+
+
 def ratio_amds_old(
     q: int, alpha: Fraction, b: Fraction, a2_value: int
 ) -> tuple[int, int, Fraction]:
     """Ratio of the involution-lift bound to the old prime bound on the
     scaling family n = alpha q, d = b n.  Returns (n, d, ratio)."""
-    alpha = Fraction(alpha)
-    b = Fraction(b)
-    n_frac = alpha * q
-    if n_frac.denominator != 1:
-        raise ParameterError(f"alpha*q = {n_frac} is not an integer")
-    n = int(n_frac)
-    d_frac = b * n
-    if d_frac.denominator != 1:
-        raise ParameterError(f"b*n = {d_frac} is not an integer")
-    d = int(d_frac)
+    n, d = amds_grid_point(q, alpha, b)
     amds = amds_lower(n, d, q, a2_value)
     old_val, _ = old_prime_lower(n, d)
     return n, d, amds.value / old_val

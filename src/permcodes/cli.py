@@ -18,7 +18,6 @@ from pathlib import Path
 from . import bounds, linear, mds, perms
 from .errors import (
     BudgetExceeded,
-    ParameterError,
     ParseError,
     PermcodesError,
     VerificationFailed,
@@ -181,9 +180,22 @@ def cmd_construct(args) -> int:
         )
         return EXIT_INFEASIBLE
 
-    if args.ones_row:
+    if args.ones_row and args.seed is None:
+        raise _UsageError("--seed is required (full-weight dual search)")
+    # Gamma' (n, q and d only) comes before the dual search: its hint is no dead end
+    kspec = perms.ResidueSubgroupSpec.for_params(code.n, code.spec.q)
+    if args.gamma == "identity":
+        gamma = perms.PermutationCode(code.n, [perms.identity_perm(code.n)])
+    elif args.gamma == "exact":
+        gamma = perms.max_code_in_K(kspec, dm, mode="exact")
+    elif args.gamma == "greedy":
         if args.seed is None:
-            raise _UsageError("--seed is required (full-weight dual search)")
+            raise _UsageError("--gamma greedy requires --seed")
+        gamma = perms.max_code_in_K(kspec, dm, mode="greedy", seed=args.seed)
+    else:
+        gamma, _ = perms.lift_code_into_K(kspec, dm)
+
+    if args.ones_row:
         w = linear.find_full_weight_dual_codeword(code, args.seed, **budget)
         if w is None:
             print(
@@ -197,18 +209,6 @@ def cmd_construct(args) -> int:
             raise VerificationFailed("distance changed under rescaling")
     else:
         work = code
-
-    kspec = perms.ResidueSubgroupSpec.for_params(work.n, work.spec.q)
-    if args.gamma == "identity":
-        gamma = perms.PermutationCode(work.n, [perms.identity_perm(work.n)])
-    elif args.gamma == "exact":
-        gamma = perms.max_code_in_K(kspec, dm, mode="exact")
-    elif args.gamma == "greedy":
-        if args.seed is None:
-            raise _UsageError("--gamma greedy requires --seed")
-        gamma = perms.max_code_in_K(kspec, dm, mode="greedy", seed=args.seed)
-    else:
-        gamma, _ = perms.lift_code_into_K(kspec, dm)
 
     pc, cert = perms.construct_permutation_code(
         work,
@@ -316,11 +316,7 @@ def cmd_compare(args) -> int:
     rows = []
     for q in _parse_int_list(args.q):
         try:
-            n_val = alpha * q
-            d_val = b * n_val
-            if n_val.denominator != 1 or d_val.denominator != 1:
-                raise ParameterError(f"n = {n_val} and d = {d_val} must be integers")
-            n, d = int(n_val), int(d_val)
+            n, d = bounds.amds_grid_point(q, alpha, b)
             a2, _ = perms.max_binary_code(n - q, d // 2)
             _, _, ratio = bounds.ratio_amds_old(q, alpha, b, a2)
         except PermcodesError as exc:

@@ -11,25 +11,20 @@ FieldSpec.tables().
 from __future__ import annotations
 
 import itertools
+import math
 from typing import NamedTuple
 
 from .errors import NotAPrimePower, ParameterError
 
 
+def _least_factor(n: int) -> int:
+    """The smallest factor >= 2 of n >= 2, by trial division up to isqrt(n)."""
+    return next((f for f in range(2, math.isqrt(n) + 1) if n % f == 0), n)
+
+
 def is_prime(n: int) -> bool:
     """Deterministic trial division; fine for the desk-scale inputs used here."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and _least_factor(n) == n
 
 
 class PrimePower(NamedTuple):
@@ -42,13 +37,7 @@ def factor_prime_power(q: int) -> PrimePower:
     """Split q into (p, m) with q = p^m and p prime, or raise NotAPrimePower."""
     if q < 2:
         raise NotAPrimePower(f"{q} is not a prime power")
-    p = q
-    for f in range(2, q + 1):
-        if f * f > q:
-            break
-        if q % f == 0:
-            p = f
-            break
+    p = _least_factor(q)
     m = 0
     t = q
     while t % p == 0:
@@ -67,24 +56,21 @@ def is_prime_power(n: int) -> bool:
         return False
 
 
+def _least_passing(n: int, test, name: str) -> int:
+    """The smallest k >= n with test(k); name is the caller, for the n < 2 error."""
+    if n < 2:
+        raise ParameterError(f"{name} requires n >= 2")
+    return next(filter(test, itertools.count(n)))
+
+
 def next_prime(n: int) -> int:
     """Smallest prime >= n."""
-    if n < 2:
-        raise ParameterError("next_prime requires n >= 2")
-    k = n
-    while not is_prime(k):
-        k += 1
-    return k
+    return _least_passing(n, is_prime, "next_prime")
 
 
 def next_prime_power(n: int) -> int:
     """Smallest prime power >= n."""
-    if n < 2:
-        raise ParameterError("next_prime_power requires n >= 2")
-    k = n
-    while not is_prime_power(k):
-        k += 1
-    return k
+    return _least_passing(n, is_prime_power, "next_prime_power")
 
 
 # ---------------------------------------------------------------------------

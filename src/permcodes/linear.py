@@ -447,16 +447,20 @@ def write_code_file(code: LinearCode, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _file_records(path):
+    """(line number, tokens) per line that is neither blank nor a # comment."""
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        toks = line.split()
+        if toks and not toks[0].startswith("#"):
+            yield lineno, toks
+
+
 def read_code_file(path) -> LinearCode:
-    text = Path(path).read_text()
     rows: list[list[int]] = []
     header: tuple[int, int, int] | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, toks in _file_records(path):
         try:
-            parts = [int(tok) for tok in line.split()]
+            parts = [int(tok) for tok in toks]
         except ValueError:
             raise ParseError(f"{path}:{lineno}: non-integer token") from None
         if header is None:

@@ -36,6 +36,7 @@ from .errors import (
 from .linear import (
     LinearCode,
     MatrixGF,
+    _file_records,
     min_distance,
     parity_check,
     parity_check_with_ones_row,
@@ -309,11 +310,9 @@ class SyndromeTable:
         # (label, class values ascending, radix) per nonempty residue class
         classes = []
         radix = 1
-        for c in range(q):
-            values = tuple(range(c or q, n + 1, q))
-            if values:
-                classes.append((c, values, radix))
-                radix *= len(values) + 1
+        for values in ResidueSubgroupSpec.for_params(n, q).residue_classes():
+            classes.append((values[0] % q, values, radix))
+            radix *= len(values) + 1
         # moves[state]: (smallest free value, label, radix) per class with
         # labels left, by value; tables[state] is built from the tables of
         # the states one move on, all of them smaller
@@ -448,25 +447,18 @@ class ConstructionCertificate(NamedTuple):
     seed: int | None = None
 
     def to_text(self) -> str:
-        vd = self.verified_distance
-        vd_txt = "inf" if vd == math.inf else str(int(vd))
-        lines = [
-            f"n: {self.n}",
-            f"q: {self.q}",
-            f"k: {self.k}",
-            f"d: {self.d}",
-            f"ones_row: {str(self.ones_row).lower()}",
-            f"subgroup_order: {self.subgroup_order}",
-            f"gamma_size: {self.gamma_size}",
-            f"coset_count: {self.coset_count}",
-            f"sweep_size: {self.sweep_size}",
-            f"syndrome: {' '.join(str(x) for x in self.syndrome)}",
-            f"bucket_size: {self.bucket_size}",
-            f"verified_distance: {vd_txt}",
-            f"guaranteed_floor: {self.guaranteed_floor}",
-            f"seed: {self.seed if self.seed is not None else 'none'}",
-        ]
-        return "\n".join(lines) + "\n"
+        return "".join(f"{f}: {_value_text(v)}\n" for f, v in zip(self._fields, self))
+
+
+def _value_text(v) -> str:
+    """A certificate or header value: none, true/false, tuple, inf or int."""
+    if v is None:
+        return "none"
+    if isinstance(v, bool):
+        return str(v).lower()
+    if isinstance(v, tuple):
+        return " ".join(map(str, v))
+    return "inf" if v == math.inf else str(int(v))
 
 
 def syndrome_buckets(
@@ -806,8 +798,7 @@ def lift_code_into_K(
 
 def write_permutation_code(pc: PermutationCode, path, distance=None) -> None:
     d = distance if distance is not None else code_min_distance(pc)
-    dtxt = "inf" if d == math.inf else str(int(d))
-    lines = [f"{pc.n} {pc.size} {dtxt}"]
+    lines = [f"{pc.n} {pc.size} {_value_text(d)}"]
     for p in pc.members:
         lines.append(" ".join(str(x) for x in p))
     Path(path).write_text("\n".join(lines) + "\n")
@@ -816,14 +807,9 @@ def write_permutation_code(pc: PermutationCode, path, distance=None) -> None:
 def read_permutation_code(path) -> tuple[int, int, int | float, list[Perm]]:
     """Parse a permutation code file; returns (n, declared size, declared d,
     rows as written).  Duplicate rows are preserved for the verifier to catch."""
-    text = Path(path).read_text()
     header: tuple[int, int, int | float] | None = None
     rows: list[Perm] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        toks = line.split()
+    for lineno, toks in _file_records(path):
         if header is None:
             if len(toks) != 3:
                 raise ParseError(f"{path}:{lineno}: header must be 'n size d'")

@@ -201,6 +201,20 @@ def test_ratio_amds_frozen():
     assert ratio == Fraction(14641, 8192)
 
 
+@pytest.mark.parametrize(
+    "q, alpha, b, message",
+    [
+        (9, Fraction(2), Fraction(3, 4), "n = 18 and d = 27/2 must be integers"),
+        (5, Fraction(3, 2), Fraction(1, 2), "n = 15/2 and d = 15/4 must be integers"),
+    ],
+    ids=["d_off", "n_off"],
+)
+def test_ratio_amds_rejects_points_off_the_grid(q, alpha, b, message):
+    with pytest.raises(ParameterError) as exc:
+        ratio_amds_old(q, alpha, b, a2_value=2)
+    assert str(exc.value) == message
+
+
 def test_threshold_values():
     assert amds_vs_old_threshold(2) == Fraction(1, 2)
     assert amds_vs_old_threshold(4) == Fraction(3, 8)

@@ -164,6 +164,10 @@ def test_construct_needs_seed_for_ones_row(capsys):
                      "--k", "4", "--source", "rs")
     assert rc == 1
     assert "seed" in err
+    # asked before gamma is built, so greedy's own seed message is not reached
+    got = run(capsys, "construct", "--d", "3", "--q", "7", "--n", "6", "--k", "4",
+              "--source", "rs", "--gamma", "greedy")
+    assert got == (1, "", "usage error: --seed is required (full-weight dual search)\n")
 
 
 def test_construct_budget_exit(capsys):
@@ -210,6 +214,30 @@ def test_construct_finds_the_ones_word_of_a_long_repetition_code(tmp_path, capsy
         "constructed: n=18 q=2 k=1 d=18 size=2 floor=1 distance=18 "
         "syndrome=1 0 0 0 0 0 0 0 0 1 1 1 1 1 1 1 1\n"
     )
+
+
+@pytest.mark.parametrize(
+    "gamma, rc, err",
+    [
+        ("lift", 2, "infeasible: class (2, 4, 6, 8, 10, 12, 14, 16) has size 8; "
+                    "subgroup is not (S_2)^r\n"),
+        ("greedy", 4, "budget exceeded: |K| = 14631321600 exceeds budget 100000\n"),
+        ("exact", 4, "budget exceeded: |K| = 14631321600 is too large for exact "
+                     "clique search\n"),
+        ("identity", 2, "infeasible: no full-weight dual codeword found; "
+                        "try --no-ones-row\n"),
+    ],
+    ids=["lift", "greedy", "exact", "identity"],
+)
+def test_construct_builds_gamma_before_the_dual_search(tmp_path, capsys, gamma, rc, err):
+    # the all-ones word is the only full-weight candidate over GF(2), and 17
+    # ones sum to 1, so no dual word works; every mode but identity fails on
+    # n, q and d alone, and says so instead of hinting at --no-ones-row
+    p = tmp_path / "rep.txt"
+    p.write_text("2 17 1\n" + " ".join(["1"] * 17) + "\n")
+    got = run(capsys, "construct", "--source", "file", "--code-file", str(p),
+              "--d", "17", "--seed", "3", "--gamma", gamma)
+    assert got == (rc, "", err)
 
 
 def test_construct_rs_needs_params(capsys):

@@ -6,7 +6,10 @@ monic irreducibles) and are cross-checked here by exhaustive field-axiom
 verification, which would fail for any reducible modulus.
 """
 
+from bisect import bisect_left
+
 import pytest
+from sympy import factorint, isprime, nextprime
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p
 
@@ -28,6 +31,8 @@ def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37}
     for x in range(-3, 40):
         assert is_prime(x) == (x in primes)
+    for x in range(40, 5001):
+        assert is_prime(x) == isprime(x), x
 
 
 def test_prime_power_factoring():
@@ -38,6 +43,15 @@ def test_prime_power_factoring():
         assert not is_prime_power(bad)
         with pytest.raises(NotAPrimePower):
             factor_prime_power(bad)
+    for q in range(2, 5001):
+        factors = factorint(q)
+        if len(factors) == 1:
+            [(p, m)] = factors.items()
+            assert tuple(factor_prime_power(q)) == (p, m, q)
+        else:
+            assert not is_prime_power(q)
+            with pytest.raises(NotAPrimePower, match=f"^{q} is not a prime power$"):
+                factor_prime_power(q)
 
 
 def test_next_prime_is_inclusive():
@@ -49,6 +63,11 @@ def test_next_prime_is_inclusive():
     assert next_prime(17) == 17
     assert next_prime(20) == 23
     assert next_prime(24) == 29
+    for n in range(2, 5001):
+        assert next_prime(n) == (n if isprime(n) else nextprime(n)), n
+    for n in (1, 0, -5):
+        with pytest.raises(ParameterError, match=r"^next_prime requires n >= 2$"):
+            next_prime(n)
 
 
 def test_next_prime_power_is_inclusive():
@@ -63,6 +82,12 @@ def test_next_prime_power_is_inclusive():
     # prime powers never beat the next prime, which is itself a prime power
     for n in range(2, 60):
         assert next_prime_power(n) <= next_prime(n)
+    prime_powers = [q for q in range(2, 5100) if len(factorint(q)) == 1]
+    for n in range(2, 5001):
+        assert next_prime_power(n) == prime_powers[bisect_left(prime_powers, n)], n
+    for n in (1, 0, -5):
+        with pytest.raises(ParameterError, match=r"^next_prime_power requires n >= 2$"):
+            next_prime_power(n)
 
 
 def test_frozen_moduli():

@@ -467,19 +467,26 @@ def test_code_file_round_trip(tmp_path):
 
 
 def test_code_file_parse_errors(tmp_path):
+    # name: (file text, message after the path); line numbers count every line
     cases = {
-        "empty.txt": "",
-        "badhead.txt": "5 x 2\n1 0\n0 1\n",
-        "shorthead.txt": "5 2\n1 0\n",
-        "badrow.txt": "5 3 2\n1 0 0\n0 1\n",
-        "badentry.txt": "5 3 2\n1 0 9\n0 1 0\n",
-        "missingrow.txt": "5 3 2\n1 0 0\n",
+        "empty.txt": ("", ": empty file"),
+        "badhead.txt": ("5 x 2\n1 0\n0 1\n", ":1: non-integer token"),
+        "shorthead.txt": ("5 2\n1 0\n", ":1: header must be 'q n k'"),
+        "badrow.txt": ("5 3 2\n1 0 0\n0 1\n", ": row 2 has 2 entries, expected 3"),
+        "badentry.txt": ("5 3 2\n1 0 9\n0 1 0\n", ": row 1 entry 9 out of range for GF(5)"),
+        "missingrow.txt": ("5 3 2\n1 0 0\n", ": expected 2 generator rows, found 1"),
+        "indented_comment.txt": ("   # q n k\n5 2\n", ":2: header must be 'q n k'"),
+        "glued_comment.txt": ("#1 2 3\n5 x 1\n", ":2: non-integer token"),
+        "late_header.txt": ("\n  \t\n# code\n\n5 3\n", ":5: header must be 'q n k'"),
+        "trailing_hash.txt": ("5 3 1 # q n k\n1 2 3\n", ":1: non-integer token"),
+        "badtoken.txt": ("5 3 2\n# rows\n1 0 0\n0 y 1\n", ":4: non-integer token"),
     }
-    for name, text in cases.items():
+    for name, (text, message) in cases.items():
         p = tmp_path / name
         p.write_text(text)
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as exc:
             read_code_file(p)
+        assert str(exc.value) == f"{p}{message}", name
 
 
 def test_code_file_comments_and_blanks(tmp_path):

@@ -42,6 +42,7 @@ from permcodes.linear import (
 from permcodes.mds import extended_rs, reed_solomon
 from permcodes.perms import (
     MAX_CLIQUE_VERTICES,
+    ConstructionCertificate,
     PermutationCode,
     ResidueSubgroupSpec,
     SyndromeTable,
@@ -721,9 +722,24 @@ def test_construct_fixture_and_certificate():
     assert cert.bucket_size == pc.size
     assert cert.verified_distance >= 3
     assert code_min_distance(pc) == cert.verified_distance
-    text = cert.to_text()
-    assert "guaranteed_floor: 103" in text
-    assert f"bucket_size: {pc.size}" in text
+    assert cert.to_text() == (
+        "n: 6\nq: 7\nk: 4\nd: 3\nones_row: true\nsubgroup_order: 1\n"
+        "gamma_size: 1\ncoset_count: 720\nsweep_size: 720\nsyndrome: 0 1\n"
+        "bucket_size: 105\nverified_distance: 3\nguaranteed_floor: 103\nseed: 7\n"
+    )
+
+
+def test_certificate_text_renders_false_none_and_inf():
+    cert = ConstructionCertificate(
+        n=2, q=2, k=1, d=2, ones_row=False, subgroup_order=1, gamma_size=1,
+        coset_count=2, sweep_size=2, syndrome=(1,), bucket_size=1,
+        verified_distance=math.inf, guaranteed_floor=1, seed=None,
+    )
+    assert cert.to_text() == (
+        "n: 2\nq: 2\nk: 1\nd: 2\nones_row: false\nsubgroup_order: 1\n"
+        "gamma_size: 1\ncoset_count: 2\nsweep_size: 2\nsyndrome: 1\n"
+        "bucket_size: 1\nverified_distance: inf\nguaranteed_floor: 1\nseed: none\n"
+    )
 
 
 def test_construct_accepts_gamma_as_an_iterator():
@@ -849,18 +865,25 @@ def test_permutation_code_infinite_distance(tmp_path):
 
 
 def test_permutation_code_parse_errors(tmp_path):
+    # name: (file text, message after the path); line numbers count every line
     cases = {
-        "empty.txt": "",
-        "header.txt": "4 1\n1 2 3 4\n",
-        "badrow.txt": "4 1 4\n1 2 3\n",
-        "notperm.txt": "4 1 4\n1 2 2 4\n",
-        "alpha.txt": "4 1 4\n1 2 x 4\n",
+        "empty.txt": ("", ": empty file"),
+        "header.txt": ("4 1\n1 2 3 4\n", ":1: header must be 'n size d'"),
+        "badrow.txt": ("4 1 4\n1 2 3\n", ":2: expected 4 entries, got 3"),
+        "notperm.txt": ("4 1 4\n1 2 2 4\n", ":2: not a permutation of 1..4"),
+        "alpha.txt": ("4 1 4\n1 2 x 4\n", ":2: non-integer token"),
+        "badhead.txt": ("4 1 x\n1 2 3 4\n", ":1: bad header token"),
+        "indented_comment.txt": ("   # n size d\n4 1\n", ":2: header must be 'n size d'"),
+        "glued_comment.txt": ("#4 1 4\n4 z 4\n", ":2: bad header token"),
+        "late_header.txt": ("\n  \t\n# code\n\n4 1\n", ":5: header must be 'n size d'"),
+        "badtoken.txt": ("4 2 4\n1 2 3 4\n# next\n\n4 3 y 1\n", ":5: non-integer token"),
     }
-    for name, text in cases.items():
+    for name, (text, message) in cases.items():
         p = tmp_path / name
         p.write_text(text)
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as exc:
             read_permutation_code(p)
+        assert str(exc.value) == f"{p}{message}", name
 
 
 def test_read_permutation_code_keeps_duplicates(tmp_path):
