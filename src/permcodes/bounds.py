@@ -118,6 +118,12 @@ def amds_lower(n: int, d: int, q: int, a2_value: int) -> AmdsBound:
     return AmdsBound(value, math.ceil(value), flags)
 
 
+def _residue_subgroup_order(n: int, q: int) -> int:
+    """|K| = (s+1)!^r * s!^(q-r) for n = q*s + r (see perms.ResidueSubgroupSpec)."""
+    s, r = divmod(n, q)
+    return math.factorial(s + 1) ** r * math.factorial(s) ** (q - r)
+
+
 def general_firstbound(
     n: int,
     q: int,
@@ -135,11 +141,9 @@ def general_firstbound(
         raise ParameterError(f"need 0 < k < n, got k={k}, n={n}")
     if gamma_size < 1:
         raise ParameterError("gamma_size must be positive")
-    s, r = divmod(n, q)
-    subgroup_order = math.factorial(s + 1) ** r * math.factorial(s) ** (q - r)
     exponent = n - k - 1 if ones_row else n - k
     value = Fraction(
-        math.factorial(n) * gamma_size, subgroup_order * q**exponent
+        math.factorial(n) * gamma_size, _residue_subgroup_order(n, q) * q**exponent
     )
     return value, math.ceil(value)
 

@@ -154,19 +154,17 @@ def _load_construct_code(args) -> linear.LinearCode:
         if args.n is not None and args.n != args.q + 1:
             raise _UsageError(f"--source xrs has n = q+1 = {args.q + 1}")
         return mds.extended_rs(args.q, args.k)
-    if args.source == "file":
-        if args.code_file is None:
-            raise _UsageError("--source file needs --code-file")
-        code = linear.read_code_file(args.code_file)
-        for name, given, actual in (
-            ("--n", args.n, code.n),
-            ("--k", args.k, code.k),
-            ("--q", args.q, code.spec.q),
-        ):
-            if given is not None and given != actual:
-                raise _UsageError(f"{name} {given} contradicts the file ({actual})")
-        return code
-    raise _UsageError(f"unknown source {args.source!r}")
+    if args.code_file is None:
+        raise _UsageError("--source file needs --code-file")
+    code = linear.read_code_file(args.code_file)
+    for name, given, actual in (
+        ("--n", args.n, code.n),
+        ("--k", args.k, code.k),
+        ("--q", args.q, code.spec.q),
+    ):
+        if given is not None and given != actual:
+            raise _UsageError(f"{name} {given} contradicts the file ({actual})")
+    return code
 
 
 def cmd_construct(args) -> int:
@@ -205,8 +203,6 @@ def cmd_construct(args) -> int:
             )
             return EXIT_INFEASIBLE
         work = linear.normalize_first_row_ones(code, w)
-        if linear.min_distance(work, **budget) != dm:
-            raise VerificationFailed("distance changed under rescaling")
     else:
         work = code
 

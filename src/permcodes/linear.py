@@ -299,8 +299,7 @@ def in_dual(code: LinearCode, vec: tuple[int, ...]) -> bool:
     for row in code.generator.rows:
         acc = 0
         for x, y in zip(row, vec):
-            if x and y:
-                acc = add[acc][mul[x][y]]
+            acc = add[acc][mul[x][y]]
         if acc:
             return False
     return True
@@ -331,8 +330,8 @@ def normalize_first_row_ones(code: LinearCode, w: tuple[int, ...]) -> LinearCode
     """Rescale coordinates by a full-weight dual codeword w.
 
     The returned code is monomially equivalent to the input (same length,
-    dimension, and weight distribution) and its dual contains the all-ones
-    vector, so parity_check_with_ones_row applies to it.
+    dimension and weights, so it keeps any cached distance) and its dual
+    contains the all-ones vector, so parity_check_with_ones_row applies.
     """
     n = code.n
     if len(w) != n:
@@ -343,10 +342,10 @@ def normalize_first_row_ones(code: LinearCode, w: tuple[int, ...]) -> LinearCode
         raise NotInDual("vector is not in the dual code")
     spec = code.spec
     _, mul, _, _ = spec.tables()
-    newg = [
-        [mul[w[j]][row[j]] for j in range(n)] for row in code.generator.rows
-    ]
-    return LinearCode(spec, newg)
+    newg = [[mul[x][y] for x, y in zip(w, row)] for row in code.generator.rows]
+    rescaled = LinearCode(spec, newg)
+    rescaled._dmin = code._dmin
+    return rescaled
 
 
 def find_full_weight_dual_codeword(
@@ -441,9 +440,12 @@ def singleton_defect(code: LinearCode) -> int:
 
 
 def write_code_file(code: LinearCode, path) -> None:
-    lines = [f"{code.spec.q} {code.n} {code.k}"]
-    for row in code.generator.rows:
-        lines.append(" ".join(str(x) for x in row))
+    _write_records(path, f"{code.spec.q} {code.n} {code.k}", code.generator.rows)
+
+
+def _write_records(path, header: str, rows) -> None:
+    """The header line, then one line of space-separated entries per row."""
+    lines = [header, *(" ".join(map(str, row)) for row in rows)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

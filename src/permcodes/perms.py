@@ -20,10 +20,9 @@ import itertools
 import math
 import operator
 import random
-from pathlib import Path
 from typing import Iterator, NamedTuple
 
-from .bounds import general_firstbound
+from .bounds import _residue_subgroup_order, general_firstbound
 from .errors import (
     BudgetExceeded,
     LengthMismatch,
@@ -37,6 +36,7 @@ from .linear import (
     LinearCode,
     MatrixGF,
     _file_records,
+    _write_records,
     min_distance,
     parity_check,
     parity_check_with_ones_row,
@@ -173,8 +173,6 @@ def code_min_distance(
     if collide(sum(fields)):
         return 0
     # Distinct permutations never differ in exactly one place: t starts at 2.
-    if n < 3:
-        return n
     t0 = min(max(expected - 1, 2), n - 1)
     if first_collision([t0]) is None:
         found = first_collision(range(t0 + 1, n))
@@ -203,10 +201,8 @@ class ResidueSubgroupSpec(NamedTuple):
 
     @property
     def order(self) -> int:
-        """(s+1)!^r * s!^(q-r), the size of K."""
-        return math.factorial(self.s + 1) ** self.r * math.factorial(self.s) ** (
-            self.q - self.r
-        )
+        """The size of K."""
+        return _residue_subgroup_order(self.n, self.q)
 
     def residue_classes(self) -> list[tuple[int, ...]]:
         """The orbits of K on {1..n}, keyed by residue 0..q-1, ascending."""
@@ -562,8 +558,6 @@ def _max_clique(neigh: list[int]) -> list[int]:
     """Exact maximum clique on a bitmask adjacency list (branch and bound
     with greedy coloring, greedy seeding for the incumbent)."""
     n = len(neigh)
-    if n == 0:
-        return []
     best: list[int] = []
     for order in _greedy_orders(n, neigh):
         cur: list[int] = []
@@ -798,10 +792,7 @@ def lift_code_into_K(
 
 def write_permutation_code(pc: PermutationCode, path, distance=None) -> None:
     d = distance if distance is not None else code_min_distance(pc)
-    lines = [f"{pc.n} {pc.size} {_value_text(d)}"]
-    for p in pc.members:
-        lines.append(" ".join(str(x) for x in p))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_records(path, f"{pc.n} {pc.size} {_value_text(d)}", pc.members)
 
 
 def read_permutation_code(path) -> tuple[int, int, int | float, list[Perm]]:
