@@ -48,6 +48,7 @@ DEFAULT_SWEEP_BUDGET = 50_000
 DEFAULT_SUBGROUP_BUDGET = 100_000
 DEFAULT_VERIFY_BUDGET = 10**8
 MAX_CLIQUE_VERTICES = 4096
+MAX_CLIQUE_WORK = 10**7
 
 
 def identity_perm(n: int) -> Perm:
@@ -556,7 +557,10 @@ def _greedy_orders(n: int, neigh: list[int]) -> Iterator[list[int]]:
 
 def _max_clique(neigh: list[int]) -> list[int]:
     """Exact maximum clique on a bitmask adjacency list (branch and bound
-    with greedy coloring, greedy seeding for the incumbent)."""
+    with greedy coloring, greedy seeding for the incumbent).
+
+    Work is the number of candidates colored, summed over the nodes
+    expanded; past MAX_CLIQUE_WORK the search raises BudgetExceeded."""
     n = len(neigh)
     best: list[int] = []
     for order in _greedy_orders(n, neigh):
@@ -570,9 +574,13 @@ def _max_clique(neigh: list[int]) -> list[int]:
             best = cur
     best_size = len(best)
     best_set = sorted(best)
+    work = 0
 
     def expand(cand: int, cur: list[int]) -> None:
-        nonlocal best_size, best_set
+        nonlocal best_size, best_set, work
+        work += cand.bit_count()
+        if work > MAX_CLIQUE_WORK:
+            raise BudgetExceeded(f"clique search colors more than {MAX_CLIQUE_WORK} candidates")
         order_v: list[int] = []
         color_of: list[int] = []
         rest = cand

@@ -377,6 +377,23 @@ def test_compare_amds_reports_dropped_rows(capsys):
     assert not any(line.startswith("16,") for line in out.splitlines())
 
 
+def test_clique_work_budget_drops_a_compare_row_and_ends_a_construct(tmp_path, capsys,
+                                                                     monkeypatch):
+    # the clique searches color 5 candidates for A_2(4, 3) = 2, 37 for
+    # A_2(8, 6) = 2, and 4 for the code inside K of the [6,2,4]_3 construct
+    monkeypatch.setattr("permcodes.perms.MAX_CLIQUE_WORK", 5)
+    rc, out, err = run(capsys, "compare", "--mode", "amds-vs-old",
+                       "--q", "4,8", "--alpha", "2", "--b", "3/4")
+    assert (rc, err) == (0, "dropped q=8: clique search colors more than 5 candidates\n")
+    assert out.splitlines()[1:] == ["4,8,6,2,1.78723,14641/8192,1/2"]
+    p = tmp_path / "code.txt"
+    p.write_text("3 6 2\n1 0 2 1 2 1\n0 1 2 2 2 2\n")
+    monkeypatch.setattr("permcodes.perms.MAX_CLIQUE_WORK", 3)
+    got = run(capsys, "construct", "--source", "file", "--code-file", str(p),
+              "--d", "4", "--gamma", "exact", "--seed", "1")
+    assert got == (4, "", "budget exceeded: clique search colors more than 3 candidates\n")
+
+
 def test_compare_amds_long_binary_length(capsys):
     # A_2(32, 31) has 33 candidate words, far inside the clique budget
     rc, out, err = run(capsys, "compare", "--mode", "amds-vs-old",

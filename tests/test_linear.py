@@ -222,6 +222,30 @@ def test_in_dual():
         in_dual(code, (1, 2))
 
 
+@settings(max_examples=150, deadline=None)
+@given(generators(), st.data())
+def test_in_dual_matches_the_inner_product_oracle_on_vectors_with_zeros(drawn, data):
+    # dual words as combinations of parity-check rows, some coefficients zero,
+    # and the same words with one entry changed; galoistools does the sums
+    spec, rows = drawn
+    code = LinearCode(spec, rows)
+    add, mul = oracle_tables(spec)
+    elements = st.sampled_from([0, 0, *range(spec.q)])
+    vec = [0] * code.n
+    for h in parity_check(code).rows:
+        c = data.draw(elements)
+        vec = [add[x][mul[c][y]] for x, y in zip(vec, h)]
+    if data.draw(st.booleans()):
+        vec[data.draw(st.integers(0, code.n - 1))] = data.draw(elements)
+    want = True
+    for row in rows:
+        acc = 0
+        for x, y in zip(row, vec):
+            acc = add[acc][mul[x][y]]
+        want = want and acc == 0
+    assert in_dual(code, tuple(vec)) == want
+
+
 def test_checks_with_ones_row():
     # both generator rows are orthogonal to the all-ones vector over GF(5)
     spec = field_make(5)
@@ -279,6 +303,22 @@ def test_normalize_first_row_ones_preserves_metric(monkeypatch):
     # and the combined pipeline yields a usable ones-row check matrix
     h = parity_check_with_ones_row(norm)
     assert set(h.rows[0]) == {1}
+
+
+@settings(max_examples=150, deadline=None)
+@given(generators(max_messages=1024), st.integers(0, 100))
+def test_normalization_carries_the_distance_a_fresh_search_finds(drawn, seed):
+    # a monomial rescaling keeps every weight, so the rescaled code may carry
+    # the input's distance instead of searching again
+    spec, rows = drawn
+    code = LinearCode(spec, rows)
+    w = find_full_weight_dual_codeword(code, seed=seed)
+    assume(w is not None)
+    assert normalize_first_row_ones(code, w).d is None  # nothing to carry yet
+    d = min_distance(code)
+    norm = normalize_first_row_ones(code, w)
+    assert norm.d == d
+    assert min_distance(LinearCode(spec, norm.generator.rows)) == d
 
 
 def test_normalize_rejects_bad_witness():

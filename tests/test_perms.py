@@ -128,6 +128,9 @@ def test_code_min_distance_against_pair_loop():
     assert code_min_distance(members) == oracle_code_distance(members)
     assert code_min_distance([(1, 2, 3)]) == math.inf
     assert code_min_distance([]) == math.inf
+    # n = 2: level t0 = 1 never collides for distinct rows, so the result is n
+    for expected in range(5):
+        assert code_min_distance([(1, 2), (2, 1)], expected) == 2
     with pytest.raises(LengthMismatch):
         code_min_distance([(1, 2), (1, 2, 3)])
 
@@ -663,6 +666,29 @@ def test_max_clique_matches_networkx(seed):
     _, size = nx.max_weight_clique(graph, weight=None)
     assert len(clique) == size
     assert all(graph.has_edge(u, v) for u, v in itertools.combinations(clique, 2))
+
+
+def test_max_clique_of_the_empty_graph():
+    assert _max_clique([]) == []
+
+
+def test_clique_work_budget(monkeypatch):
+    # A_2(6, 3) = 8: its 42 candidate words take 468 colorings in all, so a
+    # budget of exactly that passes and one less stops the search
+    work = 468
+    words = [w for w in itertools.product((0, 1), repeat=6) if sum(w) >= 3]
+    neigh = _distance_graph(words, 3)
+    monkeypatch.setattr("permcodes.perms.MAX_CLIQUE_WORK", work)
+    assert len(_max_clique(neigh)) == 7
+    monkeypatch.setattr("permcodes.perms.MAX_CLIQUE_WORK", work - 1)
+    with pytest.raises(BudgetExceeded,
+                       match=rf"^clique search colors more than {work - 1} candidates$"):
+        _max_clique(neigh)
+    with pytest.raises(BudgetExceeded):
+        max_binary_code(6, 3)
+    # the empty graph colors nothing, so no budget stops it
+    monkeypatch.setattr("permcodes.perms.MAX_CLIQUE_WORK", 0)
+    assert _max_clique([]) == []
 
 
 @settings(max_examples=200, deadline=None)
