@@ -668,10 +668,6 @@ def test_max_clique_matches_networkx(seed):
     assert all(graph.has_edge(u, v) for u, v in itertools.combinations(clique, 2))
 
 
-def test_max_clique_of_the_empty_graph():
-    assert _max_clique([]) == []
-
-
 def test_clique_work_budget(monkeypatch):
     # A_2(6, 3) = 8: its 42 candidate words take 468 colorings in all, so a
     # budget of exactly that passes and one less stops the search
