@@ -3,153 +3,45 @@
 Exact-arithmetic bounds on M(n, d), the largest permutation code in S_n at
 Hamming distance d, plus a working construction: bucket the cosets of a
 residue subgroup by parity-check syndrome and keep the largest bucket.
+
+``import permcodes`` loads no submodule: each public name below loads its
+home module on first use (PEP 562), so a program pays only for the modules
+it touches.
 """
 
-from .bounds import (
-    AmdsBound,
-    BoundCell,
-    amds_lower,
-    amds_vs_old_threshold,
-    bound_report,
-    derangement_count,
-    envelope_new_old,
-    general_firstbound,
-    gv_lower,
-    hamming_ball_size,
-    mds_lower,
-    mds_plus1_lower,
-    old_prime_lower,
-    ratio_amds_old,
-    ratio_new_old,
-    singleton_like_upper,
-    sphere_packing_upper,
-)
-from .errors import (
-    BudgetExceeded,
-    DimensionMismatch,
-    LengthMismatch,
-    NotAPrimePower,
-    NotFullWeight,
-    NotInDual,
-    ParameterError,
-    ParseError,
-    PermcodesError,
-    PreconditionViolated,
-    SpecMismatch,
-    VerificationFailed,
-)
-from .gf import (
-    FieldSpec,
-    field_make,
-    is_prime,
-    is_prime_power,
-    next_prime,
-    next_prime_power,
-)
-from .linear import (
-    LinearCode,
-    MatrixGF,
-    dual,
-    find_full_weight_dual_codeword,
-    in_dual,
-    min_distance,
-    normalize_first_row_ones,
-    parity_check,
-    parity_check_with_ones_row,
-    random_code_search,
-    read_code_file,
-    singleton_defect,
-    write_code_file,
-)
-from .mds import extended_rs, reed_solomon
-from .perms import (
-    ConstructionCertificate,
-    PermutationCode,
-    ResidueSubgroupSpec,
-    binary_lift,
-    code_min_distance,
-    compose,
-    construct_permutation_code,
-    identity_perm,
-    involution_pairs,
-    lift_code_into_K,
-    max_binary_code,
-    max_code_in_K,
-    perm_hamming,
-    read_permutation_code,
-    subgroup_K,
-    syndrome_buckets,
-    write_permutation_code,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmdsBound",
-    "BoundCell",
-    "BudgetExceeded",
-    "ConstructionCertificate",
-    "DimensionMismatch",
-    "FieldSpec",
-    "LengthMismatch",
-    "LinearCode",
-    "MatrixGF",
-    "NotAPrimePower",
-    "NotFullWeight",
-    "NotInDual",
-    "ParameterError",
-    "ParseError",
-    "PermcodesError",
-    "PermutationCode",
-    "PreconditionViolated",
-    "ResidueSubgroupSpec",
-    "SpecMismatch",
-    "VerificationFailed",
-    "amds_lower",
-    "amds_vs_old_threshold",
-    "binary_lift",
-    "bound_report",
-    "code_min_distance",
-    "compose",
-    "construct_permutation_code",
-    "derangement_count",
-    "dual",
-    "envelope_new_old",
-    "extended_rs",
-    "field_make",
-    "find_full_weight_dual_codeword",
-    "general_firstbound",
-    "gv_lower",
-    "hamming_ball_size",
-    "identity_perm",
-    "in_dual",
-    "involution_pairs",
-    "is_prime",
-    "is_prime_power",
-    "lift_code_into_K",
-    "max_binary_code",
-    "max_code_in_K",
-    "mds_lower",
-    "mds_plus1_lower",
-    "min_distance",
-    "next_prime",
-    "next_prime_power",
-    "normalize_first_row_ones",
-    "old_prime_lower",
-    "parity_check",
-    "parity_check_with_ones_row",
-    "perm_hamming",
-    "random_code_search",
-    "ratio_amds_old",
-    "ratio_new_old",
-    "read_code_file",
-    "read_permutation_code",
-    "reed_solomon",
-    "singleton_defect",
-    "singleton_like_upper",
-    "sphere_packing_upper",
-    "subgroup_K",
-    "syndrome_buckets",
-    "write_code_file",
-    "write_permutation_code",
-]
+# home module -> the public names it contributes to the package root
+_EXPORTS = {
+    "bounds": """AmdsBound BoundCell amds_lower amds_vs_old_threshold
+        bound_report derangement_count envelope_new_old general_firstbound
+        gv_lower hamming_ball_size mds_lower mds_plus1_lower old_prime_lower
+        ratio_amds_old ratio_new_old singleton_like_upper sphere_packing_upper""",
+    "errors": """BudgetExceeded DimensionMismatch LengthMismatch NotAPrimePower
+        NotFullWeight NotInDual ParameterError ParseError PermcodesError
+        PreconditionViolated SpecMismatch VerificationFailed""",
+    "gf": "FieldSpec field_make is_prime is_prime_power next_prime next_prime_power",
+    "linear": """LinearCode MatrixGF dual find_full_weight_dual_codeword in_dual
+        min_distance normalize_first_row_ones parity_check
+        parity_check_with_ones_row random_code_search read_code_file
+        singleton_defect write_code_file""",
+    "mds": "extended_rs reed_solomon",
+    "perms": """ConstructionCertificate PermutationCode ResidueSubgroupSpec
+        binary_lift code_min_distance compose construct_permutation_code
+        identity_perm involution_pairs lift_code_into_K max_binary_code
+        max_code_in_K perm_hamming read_permutation_code subgroup_K
+        syndrome_buckets write_permutation_code""",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value

@@ -95,6 +95,14 @@ class AmdsBound(NamedTuple):
     flags: dict[str, bool]
 
 
+def _amds_range(n: int, q: int) -> None:
+    """The AMDS bound's range: q a prime power and q < n <= 2q."""
+    if not is_prime_power(q):
+        raise PreconditionViolated(f"q={q} is not a prime power")
+    if not q < n <= 2 * q:
+        raise PreconditionViolated(f"need q < n <= 2q, got n={n}, q={q}")
+
+
 def amds_lower(n: int, d: int, q: int, a2_value: int) -> AmdsBound:
     """M(n,d) >= n! A / (2^(n-q) q^(d-1)) given A = A_2(n-q, floor(d/2)).
 
@@ -102,10 +110,7 @@ def amds_lower(n: int, d: int, q: int, a2_value: int) -> AmdsBound:
     The remaining hypotheses of the sharper statement (d >= 2 and
     n <= q + d - 2) are reported as flags rather than enforced.
     """
-    if not is_prime_power(q):
-        raise PreconditionViolated(f"q={q} is not a prime power")
-    if not q < n <= 2 * q:
-        raise PreconditionViolated(f"need q < n <= 2q, got n={n}, q={q}")
+    _amds_range(n, q)
     if d < 1 or a2_value < 1:
         raise ParameterError("need d >= 1 and a2_value >= 1")
     value = Fraction(
@@ -171,11 +176,14 @@ def ratio_new_old(n: int, d: int) -> tuple[Fraction, Fraction]:
 
 
 def amds_grid_point(q: int, alpha: Fraction, b: Fraction) -> tuple[int, int]:
-    """(n, d) = (alpha q, b n) on the scaling family; both must be integers."""
+    """(n, d) = (alpha q, b n) on the scaling family; both must be integers,
+    and (n, q) must lie in the AMDS bound's range, so that a caller can drop
+    a point before it computes A_2 for it."""
     n = Fraction(alpha) * q
     d = Fraction(b) * n
     if n.denominator != 1 or d.denominator != 1:
         raise ParameterError(f"n = {n} and d = {d} must be integers")
+    _amds_range(int(n), q)
     return int(n), int(d)
 
 

@@ -711,11 +711,20 @@ def max_binary_code(r: int, d: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Exact A_2(r, d) with a witness, zero word pinned by translation
     invariance.  Returns (size, witness bit tuples).
 
-    The clique vertices are the words of weight >= d; past MAX_CLIQUE_VERTICES
-    of them the search is refused from their count alone, before any word is
-    built."""
+    When 2r < 3d <= 3r the answer is 2 in closed form: the three pairwise
+    distances of any three words sum to at most 2r, since each coordinate
+    adds at most 2 to the sum.  Otherwise a clique search decides it."""
     if r < 1 or d < 1:
         raise ParameterError("need r >= 1 and d >= 1")
+    if 2 * r < 3 * d <= 3 * r:
+        return 2, ((0,) * r, (0,) * (r - d) + (1,) * d)
+    return _binary_clique(r, d)
+
+
+def _binary_clique(r: int, d: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """max_binary_code by clique search.  The vertices are the words of
+    weight >= d; past MAX_CLIQUE_VERTICES of them the search is refused from
+    their count alone, before any word is built."""
     count = sum(math.comb(r, w) for w in range(d, r + 1))
     if count > MAX_CLIQUE_VERTICES:
         raise BudgetExceeded(

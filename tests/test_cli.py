@@ -369,9 +369,10 @@ def test_compare_amds(capsys):
 
 
 def test_compare_amds_reports_dropped_rows(capsys):
-    # q=16 needs a clique over more candidate words than the budget allows
+    # q=16 needs a clique over more candidate words than the budget allows:
+    # A_2(16, 10) has 14,893 words of weight >= 10
     rc, out, err = run(capsys, "compare", "--mode", "amds-vs-old",
-                       "--q", "8,16", "--alpha", "2", "--b", "11/16")
+                       "--q", "8,16", "--alpha", "2", "--b", "5/8")
     assert rc == 0
     assert "q=16" in err
     assert not any(line.startswith("16,") for line in out.splitlines())
@@ -379,13 +380,13 @@ def test_compare_amds_reports_dropped_rows(capsys):
 
 def test_clique_work_budget_drops_a_compare_row_and_ends_a_construct(tmp_path, capsys,
                                                                      monkeypatch):
-    # the clique searches color 5 candidates for A_2(4, 3) = 2, 37 for
-    # A_2(8, 6) = 2, and 4 for the code inside K of the [6,2,4]_3 construct
-    monkeypatch.setattr("permcodes.perms.MAX_CLIQUE_WORK", 5)
+    # the clique searches color 11 candidates for A_2(4, 2) = 8, 483 for
+    # A_2(8, 5) = 4, and 4 for the code inside K of the [6,2,4]_3 construct
+    monkeypatch.setattr("permcodes.perms.MAX_CLIQUE_WORK", 11)
     rc, out, err = run(capsys, "compare", "--mode", "amds-vs-old",
-                       "--q", "4,8", "--alpha", "2", "--b", "3/4")
-    assert (rc, err) == (0, "dropped q=8: clique search colors more than 5 candidates\n")
-    assert out.splitlines()[1:] == ["4,8,6,2,1.78723,14641/8192,1/2"]
+                       "--q", "4,8", "--alpha", "2", "--b", "5/8")
+    assert (rc, err) == (0, "dropped q=8: clique search colors more than 11 candidates\n")
+    assert out.splitlines()[1:] == ["4,8,5,8,2.59961,1331/512,1/2"]
     p = tmp_path / "code.txt"
     p.write_text("3 6 2\n1 0 2 1 2 1\n0 1 2 2 2 2\n")
     monkeypatch.setattr("permcodes.perms.MAX_CLIQUE_WORK", 3)
@@ -409,6 +410,23 @@ def test_compare_amds_reports_non_integer_rows(capsys):
     assert rc == 0
     assert err.splitlines() == ["dropped q=9: n = 18 and d = 27/2 must be integers"]
     assert [ln.split(",")[0] for ln in out.splitlines()[1:]] == ["8"]
+
+
+def test_compare_amds_drops_a_row_out_of_range_before_its_clique(capsys, monkeypatch):
+    # alpha = 4 puts n = 4q outside q < n <= 2q; A_2 is never asked for
+    def no_clique(r, d):
+        raise AssertionError(f"A_2({r}, {d}) computed for a dropped row")
+
+    monkeypatch.setattr("permcodes.perms.max_binary_code", no_clique)
+    for q, b in (("8", "7/8"), ("4", "3/4")):
+        rc, out, err = run(capsys, "compare", "--mode", "amds-vs-old",
+                           "--q", q, "--alpha", "4", "--b", b)
+        n = 4 * int(q)
+        assert (rc, err) == (0, f"dropped q={q}: need q < n <= 2q, got n={n}, q={q}\n")
+        assert out == "q,n,d,a2,ratio,ratio_exact,b_threshold\n"
+    rc, _, err = run(capsys, "compare", "--mode", "amds-vs-old",
+                     "--q", "6", "--alpha", "2", "--b", "3/4")
+    assert (rc, err) == (0, "dropped q=6: q=6 is not a prime power\n")
 
 
 def test_compare_amds_needs_q(capsys):

@@ -1,17 +1,24 @@
-"""Every name a module of the package imports is used in it.
+"""What the package imports, and when.
 
-Neither pyflakes nor ruff is a dependency, so this is the unused-import lint:
-an import left behind by a refactor fails here.  ``__init__.py`` is skipped,
-since it imports names only to re-export them.
+Every name a module of the package imports is used in it: neither pyflakes
+nor ruff is a dependency, so this is the unused-import lint, and an import
+left behind by a refactor fails here.  ``import permcodes`` loads no
+submodule, and each CLI command loads only the modules it runs, all of them
+before argparse.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import permcodes
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "permcodes"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -39,3 +46,80 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert _unused_imports(path.read_text()) == []
+
+
+# ---------------------------------------------------------------------------
+# Import plan
+
+
+def _python(args, cwd, extra_path=()):
+    path = os.pathsep.join([*map(str, extra_path), str(PACKAGE.parent),
+                            os.environ.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_import_permcodes_loads_no_submodule(tmp_path):
+    code = "import sys, permcodes; print(*sorted(m for m in sys.modules if 'permcodes' in m))"
+    assert _python(["-c", code], tmp_path).stdout == "permcodes\n"
+
+
+def test_every_root_name_is_its_home_module_object():
+    assert permcodes.__all__ == sorted(set(permcodes.__all__))
+    for name in permcodes.__all__:
+        obj = getattr(permcodes, name)
+        assert obj.__module__.startswith("permcodes."), name
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+    namespace = {}
+    exec("from permcodes import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == permcodes.__all__
+
+
+def test_an_unknown_root_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        permcodes.no_such_name
+    assert not hasattr(permcodes, "_max_clique")  # private names stay home
+
+
+# subcommand -> (argv, the permcodes modules it loads); a CLI process runs
+# as __main__, so permcodes.cli itself is never among them
+PLANS = {
+    "field": ("field --q 4 --tables", {"errors", "gf"}),
+    "code-search": ("code-search --n 6 --k 2 --d 4 --q 4 --seed 3", {"errors", "gf", "linear"}),
+    "table": ("table --d 6 --n-min 7 --n-max 9", {"errors", "gf", "bounds"}),
+    "compare new-vs-old": ("compare --mode new-vs-old --n 10 --d 6", {"errors", "gf", "bounds"}),
+    "compare amds-vs-old": ("compare --mode amds-vs-old --q 4 --alpha 2 --b 5/8",
+                            {"errors", "gf", "bounds", "linear", "perms"}),
+    "compare --mode=amds-vs-old": ("compare --q 4 --alpha 2 --b 5/8 --mode=amds-vs-old",
+                                   {"errors", "gf", "bounds", "linear", "perms"}),
+    "construct": ("construct --source rs --q 5 --n 5 --k 3 --d 3 --gamma identity --seed 1",
+                  {"errors", "gf", "bounds", "linear", "mds", "perms"}),
+    "verify": ("verify pc.txt --d 3", {"errors", "gf", "bounds", "linear", "perms"}),
+}
+
+# records sys.modules, in load order, when the interpreter exits
+RECORDER = """import atexit, sys
+
+
+def _record():
+    with open({path!r}, "w") as fh:
+        fh.write("\\n".join(sys.modules))
+
+
+atexit.register(_record)
+"""
+
+
+@pytest.mark.parametrize("command", PLANS)
+def test_cli_command_loads_only_its_modules_before_argparse(tmp_path, command):
+    argv, modules = PLANS[command]
+    record = tmp_path / "modules.txt"
+    (tmp_path / "site").mkdir()
+    (tmp_path / "site" / "sitecustomize.py").write_text(RECORDER.format(path=str(record)))
+    (tmp_path / "pc.txt").write_text("5 2 3\n1 2 3 4 5\n2 3 1 4 5\n")
+    done = _python(["-m", "permcodes.cli", *argv.split()], tmp_path, [tmp_path / "site"])
+    assert done.returncode == 0, done.stderr
+    loaded = record.read_text().split("\n")
+    ours = [m for m in loaded if m.startswith("permcodes.")]
+    assert {m.removeprefix("permcodes.") for m in ours} == modules
+    assert all(loaded.index(m) < loaded.index("argparse") for m in ours)

@@ -46,6 +46,7 @@ from permcodes.perms import (
     PermutationCode,
     ResidueSubgroupSpec,
     SyndromeTable,
+    _binary_clique,
     _distance_graph,
     _max_clique,
     binary_lift,
@@ -561,6 +562,41 @@ def test_max_binary_code_has_no_length_cap():
     size, witness = max_binary_code(32, 31)
     assert size == 2
     assert witness[0] == (0,) * 32 and sum(witness[1]) >= 31
+
+
+def test_three_word_closed_form_matches_the_clique():
+    # 2r < 3t <= 3r: no three words fit, and the two-word witness is the one
+    # the clique search returns, size and tuple alike
+    pairs = [
+        (r, t)
+        for r in range(1, 19)
+        for t in range(1, r + 1)
+        if 2 * r < 3 * t
+        and sum(math.comb(r, w) for w in range(t, r + 1)) <= MAX_CLIQUE_VERTICES
+    ]
+    assert len(pairs) == 60
+    for r, t in pairs:
+        assert max_binary_code(r, t) == _binary_clique(r, t), (r, t)
+
+
+def test_three_word_closed_form_beyond_the_vertex_budget():
+    # A_2(16, 11): 6,885 words weigh >= 11, past the clique's vertex budget
+    with pytest.raises(BudgetExceeded):
+        _binary_clique(16, 11)
+    size, witness = max_binary_code(16, 11)
+    assert size == 2 == len(witness)
+    assert witness[0] == (0,) * 16
+    assert sum(a != b for a, b in zip(*witness)) >= 11
+
+
+def test_three_word_boundary_goes_through_the_clique(monkeypatch):
+    # 3t = 2r admits three words: A_2(3, 2) = 4 is {000, 011, 101, 110}
+    calls = []
+    monkeypatch.setattr("permcodes.perms._max_clique",
+                        lambda neigh: calls.append(neigh) or _max_clique(neigh))
+    size, witness = max_binary_code(3, 2)
+    assert size == 4 and len(calls) == 1
+    assert witness == ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
 
 
 def test_binary_lift_doubles_distances_exhaustively():
