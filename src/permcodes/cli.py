@@ -39,7 +39,7 @@ DEFAULT_TABLE_COLUMNS = "mds,mds+1,old"
 COMMAND_MODULES = {
     "table": ("bounds",),
     "construct": ("mds", "perms"),
-    "verify": ("bounds", "perms"),
+    "verify": ("gf", "perms"),
     "compare": ("bounds",),
     "compare amds-vs-old": ("perms",),
     "field": ("gf",),
