@@ -29,10 +29,10 @@ _EXPORTS = {
         singleton_defect write_code_file""",
     "mds": "extended_rs reed_solomon",
     "perms": """ConstructionCertificate PermutationCode ResidueSubgroupSpec
-        binary_lift code_min_distance compose construct_permutation_code
-        identity_perm involution_pairs lift_code_into_K max_binary_code
-        max_code_in_K perm_hamming read_permutation_code subgroup_K
-        syndrome_buckets write_permutation_code""",
+        binary_lift compose construct_permutation_code identity_perm
+        involution_pairs lift_code_into_K max_binary_code max_code_in_K
+        perm_hamming subgroup_K syndrome_buckets write_permutation_code""",
+    "verifier": "code_min_distance read_permutation_code",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -39,7 +39,7 @@ DEFAULT_TABLE_COLUMNS = "mds,mds+1,old"
 COMMAND_MODULES = {
     "table": ("bounds",),
     "construct": ("mds", "perms"),
-    "verify": ("gf", "perms"),
+    "verify": ("verifier",),
     "compare": ("bounds",),
     "compare amds-vs-old": ("perms",),
     "field": ("gf",),
@@ -252,12 +252,12 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from . import perms
+    from . import verifier
 
-    n, size, dval, rows = perms.read_permutation_code(args.file)
+    n, size, dval, rows = verifier.read_permutation_code(args.file)
     # the search starts at the distance the file claims; its result is exact
     expected = dval if dval != math.inf else args.d or 2
-    recomputed = perms.code_min_distance(rows, expected, **_budget(args))
+    recomputed = verifier.code_min_distance(rows, expected, **_budget(args))
     problems: list[str] = []
     if len(rows) != size:
         problems.append(f"header declares {size} rows, file has {len(rows)}")

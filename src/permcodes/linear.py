@@ -15,7 +15,6 @@ from __future__ import annotations
 import random
 from itertools import product
 from operator import eq
-from pathlib import Path
 
 from .errors import (
     BudgetExceeded,
@@ -27,6 +26,7 @@ from .errors import (
     SpecMismatch,
 )
 from .gf import FieldSpec, field_make
+from .verifier import _file_records, _write_records
 
 DEFAULT_DISTANCE_BUDGET = 10**7
 DEFAULT_SEARCH_BUDGET = 100_000
@@ -441,20 +441,6 @@ def singleton_defect(code: LinearCode) -> int:
 
 def write_code_file(code: LinearCode, path) -> None:
     _write_records(path, f"{code.spec.q} {code.n} {code.k}", code.generator.rows)
-
-
-def _write_records(path, header: str, rows) -> None:
-    """The header line, then one line of space-separated entries per row."""
-    lines = [header, *(" ".join(map(str, row)) for row in rows)]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _file_records(path):
-    """(line number, tokens) per line that is neither blank nor a # comment."""
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        toks = line.split()
-        if toks and not toks[0].startswith("#"):
-            yield lineno, toks
 
 
 def read_code_file(path) -> LinearCode:

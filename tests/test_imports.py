@@ -29,6 +29,8 @@ def _unused_imports(source: str) -> list[str]:
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
+                if alias.asname == alias.name:
+                    continue  # "from m import x as x" re-exports x on purpose
                 # "import a.b" binds a; "from m import x as y" binds y
                 name = alias.asname or alias.name.partition(".")[0]
                 imported[name] = node.lineno
@@ -41,6 +43,9 @@ def test_the_check_sees_an_unused_import():
         "line 1: os",
         "line 3: c",
     ]
+    # the explicit re-export form, as mypy and ruff's F401 read it
+    assert _unused_imports("from a import b as b\n") == []
+    assert _unused_imports("from a import b as c\n") == ["line 1: c"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -75,6 +80,16 @@ def test_every_root_name_is_its_home_module_object():
     assert sorted(set(namespace) - {"__builtins__"}) == permcodes.__all__
 
 
+def test_construct_and_verify_share_one_checker():
+    # the distance check a construction is certified with is the one verify runs
+    from permcodes import linear, perms, verifier
+
+    assert perms.code_min_distance is verifier.code_min_distance
+    assert perms.read_permutation_code is verifier.read_permutation_code
+    assert linear._file_records is verifier._file_records
+    assert linear._write_records is verifier._write_records
+
+
 def test_an_unknown_root_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         permcodes.no_such_name
@@ -85,17 +100,23 @@ def test_an_unknown_root_name_raises_attribute_error():
 # as __main__, so permcodes.cli itself is never among them
 PLANS = {
     "field": ("field --q 4 --tables", {"errors", "gf"}),
-    "code-search": ("code-search --n 6 --k 2 --d 4 --q 4 --seed 3", {"errors", "gf", "linear"}),
+    "code-search": ("code-search --n 6 --k 2 --d 4 --q 4 --seed 3",
+                    {"errors", "gf", "linear", "verifier"}),
     "table": ("table --d 6 --n-min 7 --n-max 9", {"errors", "gf", "bounds"}),
     "compare new-vs-old": ("compare --mode new-vs-old --n 10 --d 6", {"errors", "gf", "bounds"}),
     "compare amds-vs-old": ("compare --mode amds-vs-old --q 4 --alpha 2 --b 5/8",
-                            {"errors", "gf", "bounds", "linear", "perms"}),
+                            {"errors", "gf", "bounds", "linear", "perms", "verifier"}),
     "compare --mode=amds-vs-old": ("compare --q 4 --alpha 2 --b 5/8 --mode=amds-vs-old",
-                                   {"errors", "gf", "bounds", "linear", "perms"}),
+                                   {"errors", "gf", "bounds", "linear", "perms", "verifier"}),
     "construct": ("construct --source rs --q 5 --n 5 --k 3 --d 3 --gamma identity --seed 1",
-                  {"errors", "gf", "bounds", "linear", "mds", "perms"}),
-    "verify": ("verify pc.txt --d 3", {"errors", "gf", "bounds", "linear", "perms"}),
+                  {"errors", "gf", "bounds", "linear", "mds", "perms", "verifier"}),
+    "verify": ("verify pc.txt --d 3", {"errors", "verifier"}),
 }
+
+# subcommand -> standard modules it must not load: a file check parses no
+# fraction and draws no random number.  Only what loads from the package root
+# on counts, since a site .pth file may import random before the command runs.
+UNLOADED = {"verify": {"fractions", "decimal", "random"}}
 
 # records sys.modules, in load order, when the interpreter exits
 RECORDER = """import atexit, sys
@@ -123,3 +144,4 @@ def test_cli_command_loads_only_its_modules_before_argparse(tmp_path, command):
     ours = [m for m in loaded if m.startswith("permcodes.")]
     assert {m.removeprefix("permcodes.") for m in ours} == modules
     assert all(loaded.index(m) < loaded.index("argparse") for m in ours)
+    assert not UNLOADED.get(command, set()) & set(loaded[loaded.index("permcodes"):])
