@@ -17,8 +17,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "bounds": """AmdsBound BoundCell amds_lower amds_vs_old_threshold
         bound_report derangement_count envelope_new_old general_firstbound
-        gv_lower hamming_ball_size mds_lower mds_plus1_lower old_prime_lower
-        ratio_amds_old ratio_new_old singleton_like_upper sphere_packing_upper""",
+        gv_lower hamming_ball_size max_binary_code mds_lower mds_plus1_lower
+        old_prime_lower ratio_amds_old ratio_new_old singleton_like_upper
+        sphere_packing_upper""",
     "errors": """BudgetExceeded DimensionMismatch LengthMismatch NotAPrimePower
         NotFullWeight NotInDual ParameterError ParseError PermcodesError
         PreconditionViolated SpecMismatch VerificationFailed""",
@@ -30,8 +31,8 @@ _EXPORTS = {
     "mds": "extended_rs reed_solomon",
     "perms": """ConstructionCertificate PermutationCode ResidueSubgroupSpec
         binary_lift compose construct_permutation_code identity_perm
-        involution_pairs lift_code_into_K max_binary_code max_code_in_K
-        perm_hamming subgroup_K syndrome_buckets write_permutation_code""",
+        involution_pairs lift_code_into_K max_code_in_K perm_hamming
+        subgroup_K syndrome_buckets write_permutation_code""",
     "verifier": "code_min_distance read_permutation_code",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -4,15 +4,21 @@ Every bound value is a fractions.Fraction; lower bounds round up and upper
 bounds round down, and both the exact value and the rounded integer are
 returned so callers never re-derive the rounding direction.  No floating
 point is used anywhere in this module.
+
+The almost-MDS bound takes A_2(r, d), the largest binary code of length r at
+Hamming distance d, which max_binary_code decides exactly: in closed form
+where no three words fit, else by a branch-and-bound clique search with a
+vertex budget (MAX_CLIQUE_VERTICES) and a work budget (MAX_CLIQUE_WORK).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
-from .errors import ParameterError, PreconditionViolated
+from .errors import BudgetExceeded, ParameterError, PreconditionViolated
 from .gf import is_prime_power, next_prime, next_prime_power
 
 _DERANGEMENTS = [1, 0]
@@ -154,6 +160,166 @@ def general_firstbound(
 
 
 # ---------------------------------------------------------------------------
+# Exact A_2(r, d): binary codes by clique search
+
+MAX_CLIQUE_VERTICES = 4096
+MAX_CLIQUE_WORK = 10**7
+
+
+def _greedy_orders(n: int, neigh: list[int]) -> Iterator[list[int]]:
+    """Vertex orders for the greedy seeding, made one at a time: n ints each."""
+    yield list(range(n))
+    yield sorted(range(n), key=lambda v: -neigh[v].bit_count())
+    import random  # loaded only when a clique search runs
+
+    rng = random.Random(987654321)
+    for _ in range(6):
+        o = list(range(n))
+        rng.shuffle(o)
+        yield o
+
+
+def _max_clique(neigh: list[int]) -> list[int]:
+    """Exact maximum clique on a bitmask adjacency list (branch and bound
+    with greedy coloring, greedy seeding for the incumbent).
+
+    Work is the number of candidates colored, summed over the nodes
+    expanded; past MAX_CLIQUE_WORK the search raises BudgetExceeded."""
+    n = len(neigh)
+    best: list[int] = []
+    for order in _greedy_orders(n, neigh):
+        cur: list[int] = []
+        allowed = (1 << n) - 1
+        for v in order:
+            if allowed >> v & 1:
+                cur.append(v)
+                allowed &= neigh[v]
+        if len(cur) > len(best):
+            best = cur
+    best_size = len(best)
+    best_set = sorted(best)
+    work = 0
+
+    def expand(cand: int, cur: list[int]) -> None:
+        nonlocal best_size, best_set, work
+        work += cand.bit_count()
+        if work > MAX_CLIQUE_WORK:
+            raise BudgetExceeded(f"clique search colors more than {MAX_CLIQUE_WORK} candidates")
+        order_v: list[int] = []
+        color_of: list[int] = []
+        rest = cand
+        color = 0
+        while rest:
+            color += 1
+            avail = rest
+            while avail:
+                v = (avail & -avail).bit_length() - 1
+                bit = 1 << v
+                avail &= ~(neigh[v] | bit)
+                rest &= ~bit
+                order_v.append(v)
+                color_of.append(color)
+        for idx in range(len(order_v) - 1, -1, -1):
+            if len(cur) + color_of[idx] <= best_size:
+                return
+            v = order_v[idx]
+            newcand = cand & neigh[v]
+            cur.append(v)
+            if newcand:
+                expand(newcand, cur)
+            elif len(cur) > best_size:
+                best_size = len(cur)
+                best_set = cur[:]
+            cur.pop()
+            cand &= ~(1 << v)
+
+    try:
+        expand((1 << n) - 1, [])
+    finally:
+        del expand  # it holds its own cell: clearing that frees neigh without the gc
+    return sorted(best_set)
+
+
+def _distance_graph(words, d: int) -> list[int]:
+    """Bitmask adjacency of the graph on equal-length words (sequences over
+    any alphabet) that joins two words at Hamming distance >= d.
+
+    Bit-sliced, with no pair loop: each coordinate keeps one bitmask of the
+    vertices per value it takes.  A vertex adds its r disagreement masks into
+    a counter of bit planes, plane k holding bit k of every vertex's distance
+    to it, and the vertices at distance >= d are read off the planes by a
+    bit-sliced comparison with d, most significant plane first.  That is
+    O(V r log r) operations on V-bit ints instead of V^2 / 2 pair tests.
+    """
+    if not words:
+        return []
+    r = len(words[0])
+    full = (1 << len(words)) - 1
+    tables: list[dict] = [{} for _ in range(r)]
+    for v, word in enumerate(words):
+        bit = 1 << v
+        for table, x in zip(tables, word):
+            table[x] = table.get(x, 0) | bit
+    d = max(d, 0)  # every pair is at distance >= 0; keeps d's bits well defined
+    width = max(r, d).bit_length()
+    neigh = []
+    for v, word in enumerate(words):
+        planes = [0] * width
+        for table, x in zip(tables, word):
+            carry = full ^ table[x]
+            k = 0
+            while carry:
+                plane = planes[k]
+                planes[k] = plane ^ carry
+                carry &= plane
+                k += 1
+        above, equal = 0, full
+        for k in reversed(range(width)):
+            if d >> k & 1:
+                equal &= planes[k]
+            else:
+                above |= equal & planes[k]
+                equal &= ~planes[k]
+        neigh.append((above | equal) & ~(1 << v))
+    return neigh
+
+
+def max_binary_code(r: int, d: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Exact A_2(r, d) with a witness, zero word pinned by translation
+    invariance.  Returns (size, witness bit tuples).
+
+    When 2r < 3d <= 3r the answer is 2 in closed form: the three pairwise
+    distances of any three words sum to at most 2r, since each coordinate
+    adds at most 2 to the sum.  Otherwise a clique search decides it."""
+    if r < 1 or d < 1:
+        raise ParameterError("need r >= 1 and d >= 1")
+    if 2 * r < 3 * d <= 3 * r:
+        return 2, ((0,) * r, (0,) * (r - d) + (1,) * d)
+    return _binary_clique(r, d)
+
+
+def _binary_clique(r: int, d: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """max_binary_code by clique search.  The vertices are the words of
+    weight >= d; past MAX_CLIQUE_VERTICES of them the search is refused from
+    their count alone, before any word is built."""
+    count = sum(math.comb(r, w) for w in range(d, r + 1))
+    if count > MAX_CLIQUE_VERTICES:
+        raise BudgetExceeded(
+            f"{count} candidate words exceed the clique budget {MAX_CLIQUE_VERTICES}"
+        )
+    # the words of weight >= d as bit tuples, most significant bit first, so
+    # that tuple order is integer order
+    words = sorted(
+        tuple(int(b in ones) for b in range(r))
+        for w in range(d, r + 1)
+        for ones in itertools.combinations(range(r), w)
+    )
+    clique = _max_clique(_distance_graph(words, d))
+    witness = tuple(sorted([(0,) * r] + [words[v] for v in clique]))
+    return len(witness), witness
+
+
+# ---------------------------------------------------------------------------
 # Ratio studies
 
 
@@ -230,14 +396,18 @@ def _cell(fn, n: int, d: int) -> BoundCell:
     return BoundCell(applicable=True, value=value, rounded=rounded)
 
 
+# table column -> the bound it tabulates, in table order
+TABLE_COLUMNS = {
+    "gv": gv_lower,
+    "sphere": sphere_packing_upper,
+    "singleton": singleton_like_upper,
+    "old": old_prime_lower,
+    "mds": mds_lower,
+    "mds+1": mds_plus1_lower,
+}
+
+
 def bound_report(n: int, d: int) -> dict[str, BoundCell]:
     """All six tabulated bounds for one (n, d), keyed by table column;
     inapplicable cells are flagged with the reason."""
-    return {
-        "gv": _cell(gv_lower, n, d),
-        "sphere": _cell(sphere_packing_upper, n, d),
-        "singleton": _cell(singleton_like_upper, n, d),
-        "old": _cell(old_prime_lower, n, d),
-        "mds": _cell(mds_lower, n, d),
-        "mds+1": _cell(mds_plus1_lower, n, d),
-    }
+    return {column: _cell(fn, n, d) for column, fn in TABLE_COLUMNS.items()}

@@ -29,7 +29,6 @@ EXIT_INFEASIBLE = 2
 EXIT_VERIFICATION = 3
 EXIT_BUDGET = 4
 
-TABLE_COLUMNS = ("gv", "sphere", "singleton", "old", "mds", "mds+1")
 MARK_COLUMNS = {"old", "mds", "mds+1"}
 DEFAULT_TABLE_COLUMNS = "mds,mds+1,old"
 
@@ -41,7 +40,6 @@ COMMAND_MODULES = {
     "construct": ("mds", "perms"),
     "verify": ("verifier",),
     "compare": ("bounds",),
-    "compare amds-vs-old": ("perms",),
     "field": ("gf",),
     "code-search": ("linear",),
 }
@@ -122,9 +120,9 @@ def cmd_table(args) -> int:
 
     columns = [c.strip() for c in args.columns.split(",") if c.strip()]
     for c in columns:
-        if c not in TABLE_COLUMNS:
+        if c not in bounds.TABLE_COLUMNS:
             raise _UsageError(
-                f"unknown column {c!r}; choose from {', '.join(TABLE_COLUMNS)}"
+                f"unknown column {c!r}; choose from {', '.join(bounds.TABLE_COLUMNS)}"
             )
     if args.n_min > args.n_max:
         raise _UsageError("--n-min must not exceed --n-max")
@@ -324,8 +322,6 @@ def cmd_compare(args) -> int:
         return EXIT_OK
 
     # amds-vs-old
-    from . import perms
-
     if args.q is None:
         raise _UsageError("--mode amds-vs-old needs --q")
     alpha = _parse_fraction(args.alpha)
@@ -338,7 +334,7 @@ def cmd_compare(args) -> int:
     for q in _parse_int_list(args.q):
         try:
             n, d = bounds.amds_grid_point(q, alpha, b)
-            a2, _ = perms.max_binary_code(n - q, d // 2)
+            a2, _ = bounds.max_binary_code(n - q, d // 2)
             _, _, ratio = bounds.ratio_amds_old(q, alpha, b, a2)
         except PermcodesError as exc:
             print(f"dropped q={q}: {exc}", file=sys.stderr)
@@ -503,20 +499,11 @@ def build_parser():
     return parser
 
 
-def _command(argv: list[str]) -> str | None:
-    """The COMMAND_MODULES key of argv.  compare runs perms only in mode
-    amds-vs-old, given as a token of its own or after '--mode='; a token that
-    merely ends so (a file name) just imports perms early."""
-    if argv[:1] == ["compare"] and any(t.endswith("amds-vs-old") for t in argv):
-        return "compare amds-vs-old"
-    return argv[0] if argv else None
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # before argparse: a module compiled on top of argparse and the parser
     # raised the peak RSS in measurement
-    for name in COMMAND_MODULES.get(_command(argv), ()):
+    for name in COMMAND_MODULES.get(argv[0] if argv else None, ()):
         importlib.import_module(f".{name}", __package__)
     parser = build_parser()
     try:

@@ -14,7 +14,11 @@ import itertools
 import math
 from typing import NamedTuple
 
-from .errors import NotAPrimePower, ParameterError
+from .errors import BudgetExceeded, NotAPrimePower, ParameterError
+
+# the largest field built: its add and mul tables hold q^2 <= 2^20 entries
+# each, and the modulus search, which grows as p^(m/2), stays small
+MAX_FIELD_ORDER = 1024
 
 
 def _least_factor(n: int) -> int:
@@ -179,6 +183,7 @@ class FieldSpec:
         of 0 in row a of add.
         """
         if self._add is None:
+            _check_order(self.q)
             p, q = self.p, self.q
             add = [[0]]
             for j in range(self.m):
@@ -221,11 +226,19 @@ class FieldSpec:
 _SPEC_CACHE: dict[int, FieldSpec] = {}
 
 
+def _check_order(q: int) -> None:
+    if q > MAX_FIELD_ORDER:
+        raise BudgetExceeded(f"GF({q}) is larger than the field budget {MAX_FIELD_ORDER}")
+
+
 def field_make(q: int) -> FieldSpec:
-    """Deterministically build GF(q); same q always yields the same spec."""
+    """Deterministically build GF(q); same q always yields the same spec.
+
+    A q above MAX_FIELD_ORDER raises BudgetExceeded before any search."""
     spec = _SPEC_CACHE.get(q)
     if spec is not None:
         return spec
+    _check_order(q)
     pp = factor_prime_power(q)
     # degree 1: x = (0, 1) comes first and has no divisor to try
     modulus = next(f for f in _monic_polys(pp.m, pp.p) if _is_irreducible(f, pp.p))

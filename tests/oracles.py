@@ -20,6 +20,7 @@ import random
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_mul, gf_rem, gf_strip
 
+from permcodes.bounds import _max_clique
 from permcodes.errors import BudgetExceeded, NotInDual, ParameterError
 from permcodes.linear import (
     DEFAULT_DISTANCE_BUDGET,
@@ -32,7 +33,6 @@ from permcodes.linear import (
 )
 from permcodes.perms import (
     PermutationCode,
-    _max_clique,
     identity_perm,
     perm_hamming,
 )

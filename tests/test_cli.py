@@ -67,7 +67,8 @@ def test_table_column_selection(capsys):
 def test_table_rejects_unknown_column(capsys):
     rc, _, err = run(capsys, "table", "--d", "6", "--n-min", "9", "--n-max", "9",
                      "--columns", "gv,nope")
-    assert rc == 1 and "nope" in err
+    assert (rc, err) == (1, "usage error: unknown column 'nope'; "
+                            "choose from gv, sphere, singleton, old, mds, mds+1\n")
 
 
 def test_table_rejects_inverted_range(capsys):
@@ -382,14 +383,14 @@ def test_clique_work_budget_drops_a_compare_row_and_ends_a_construct(tmp_path, c
                                                                      monkeypatch):
     # the clique searches color 11 candidates for A_2(4, 2) = 8, 483 for
     # A_2(8, 5) = 4, and 4 for the code inside K of the [6,2,4]_3 construct
-    monkeypatch.setattr("permcodes.perms.MAX_CLIQUE_WORK", 11)
+    monkeypatch.setattr("permcodes.bounds.MAX_CLIQUE_WORK", 11)
     rc, out, err = run(capsys, "compare", "--mode", "amds-vs-old",
                        "--q", "4,8", "--alpha", "2", "--b", "5/8")
     assert (rc, err) == (0, "dropped q=8: clique search colors more than 11 candidates\n")
     assert out.splitlines()[1:] == ["4,8,5,8,2.59961,1331/512,1/2"]
     p = tmp_path / "code.txt"
     p.write_text("3 6 2\n1 0 2 1 2 1\n0 1 2 2 2 2\n")
-    monkeypatch.setattr("permcodes.perms.MAX_CLIQUE_WORK", 3)
+    monkeypatch.setattr("permcodes.bounds.MAX_CLIQUE_WORK", 3)
     got = run(capsys, "construct", "--source", "file", "--code-file", str(p),
               "--d", "4", "--gamma", "exact", "--seed", "1")
     assert got == (4, "", "budget exceeded: clique search colors more than 3 candidates\n")
@@ -417,7 +418,7 @@ def test_compare_amds_drops_a_row_out_of_range_before_its_clique(capsys, monkeyp
     def no_clique(r, d):
         raise AssertionError(f"A_2({r}, {d}) computed for a dropped row")
 
-    monkeypatch.setattr("permcodes.perms.max_binary_code", no_clique)
+    monkeypatch.setattr("permcodes.bounds.max_binary_code", no_clique)
     for q, b in (("8", "7/8"), ("4", "3/4")):
         rc, out, err = run(capsys, "compare", "--mode", "amds-vs-old",
                            "--q", q, "--alpha", "4", "--b", b)
@@ -452,6 +453,11 @@ def test_field_tables(capsys):
 def test_field_rejects_non_prime_power(capsys):
     rc, _, err = run(capsys, "field", "--q", "12")
     assert rc == 2
+
+
+def test_field_past_the_budget_exits_4_before_any_output(capsys):
+    got = run(capsys, "field", "--q", "1031", "--tables")
+    assert got == (4, "", "budget exceeded: GF(1031) is larger than the field budget 1024\n")
 
 
 def test_code_search_found(tmp_path, capsys):

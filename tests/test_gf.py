@@ -13,8 +13,9 @@ from sympy import factorint, isprime, nextprime
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p
 
-from permcodes.errors import NotAPrimePower, ParameterError
+from permcodes.errors import BudgetExceeded, NotAPrimePower, ParameterError
 from permcodes.gf import (
+    MAX_FIELD_ORDER,
     FieldSpec,
     factor_prime_power,
     field_make,
@@ -192,3 +193,21 @@ def test_tables_are_latin_squares():
         assert set(mul[a][1:]) == full - {0}
         assert mul[a][inv[a]] == 1
     assert all(add[a][neg[a]] == 0 for a in range(8))
+
+
+def test_field_budget_refuses_before_any_search(monkeypatch):
+    # GF(1031) would need add and mul tables of 1031^2 entries each
+    def search(*args):
+        raise AssertionError("the modulus search ran")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("permcodes.gf._monic_polys", search)
+        for q in (1031, 2**24):
+            with pytest.raises(BudgetExceeded,
+                               match=rf"^GF\({q}\) is larger than the field budget 1024$"):
+                field_make(q)
+    with pytest.raises(BudgetExceeded):
+        FieldSpec(1031, 1, (0, 1)).tables()
+    spec = field_make(MAX_FIELD_ORDER)
+    assert (spec.q, spec.m) == (1024, 10)
+    assert spec._add is None  # no table is built until asked for

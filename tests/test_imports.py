@@ -2,15 +2,17 @@
 
 Every name a module of the package imports is used in it: neither pyflakes
 nor ruff is a dependency, so this is the unused-import lint, and an import
-left behind by a refactor fails here.  ``import permcodes`` loads no
-submodule, and each CLI command loads only the modules it runs, all of them
-before argparse.
+left behind by a refactor fails here.  Likewise every private module-level
+name is used somewhere in the package, so a helper that a move leaves behind
+fails here.  ``import permcodes`` loads no submodule, and each CLI command
+loads only the modules it runs, all of them before argparse.
 """
 
 import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -51,6 +53,58 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _references(tree) -> Counter:
+    """How often each name is read, as a name, an attribute or an import."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def _unused_private_names(sources: dict[str, str]) -> list[str]:
+    """The private module-level names (_x, not dunders) that no module reads
+    outside their own definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    total = sum(map(_references, trees.values()), Counter())
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            own = _references(node)
+            unused += [
+                f"{module}: {name}"
+                for name in names
+                if name.startswith("_") and not name.endswith("__")
+                and total[name] <= own[name]
+            ]
+    return unused
+
+
+def test_the_check_sees_an_unused_private_name():
+    sources = {
+        "a": "def _helper(n):\n    return _helper(n - 1)\n\n\ndef _used():\n    pass\n"
+             "_LEFT = 1\n_KEPT: int = 2\n",
+        "b": "import a\nfrom a import _used\n\n_used(a._KEPT)\n",
+    }
+    assert _unused_private_names(sources) == ["a: _helper", "a: _LEFT"]
+
+
+def test_package_uses_every_private_name():
+    sources = {path.name: path.read_text() for path in MODULES}
+    assert _unused_private_names(sources) == []
 
 
 # ---------------------------------------------------------------------------
@@ -104,19 +158,23 @@ PLANS = {
                     {"errors", "gf", "linear", "verifier"}),
     "table": ("table --d 6 --n-min 7 --n-max 9", {"errors", "gf", "bounds"}),
     "compare new-vs-old": ("compare --mode new-vs-old --n 10 --d 6", {"errors", "gf", "bounds"}),
+    # A_2(4, 2) = 8 takes the clique search
     "compare amds-vs-old": ("compare --mode amds-vs-old --q 4 --alpha 2 --b 5/8",
-                            {"errors", "gf", "bounds", "linear", "perms", "verifier"}),
-    "compare --mode=amds-vs-old": ("compare --q 4 --alpha 2 --b 5/8 --mode=amds-vs-old",
-                                   {"errors", "gf", "bounds", "linear", "perms", "verifier"}),
+                            {"errors", "gf", "bounds"}),
     "construct": ("construct --source rs --q 5 --n 5 --k 3 --d 3 --gamma identity --seed 1",
                   {"errors", "gf", "bounds", "linear", "mds", "perms", "verifier"}),
     "verify": ("verify pc.txt --d 3", {"errors", "verifier"}),
 }
 
 # subcommand -> standard modules it must not load: a file check parses no
-# fraction and draws no random number.  Only what loads from the package root
-# on counts, since a site .pth file may import random before the command runs.
-UNLOADED = {"verify": {"fractions", "decimal", "random"}}
+# fraction, and only a clique search or a seeded search draws a random number.
+# Only what loads from the package root on counts, since a site .pth file may
+# import random before the command runs.
+UNLOADED = {
+    "table": {"random"},
+    "compare new-vs-old": {"random"},
+    "verify": {"fractions", "decimal", "random"},
+}
 
 # records sys.modules, in load order, when the interpreter exits
 RECORDER = """import atexit, sys

@@ -11,6 +11,7 @@ import gc
 import itertools
 import math
 import random
+import sys
 import time
 import weakref
 
@@ -18,7 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permcodes.bounds import singleton_like_upper
+from permcodes.bounds import (
+    MAX_CLIQUE_VERTICES,
+    _binary_clique,
+    _distance_graph,
+    _max_clique,
+    max_binary_code,
+    singleton_like_upper,
+)
 from permcodes.errors import (
     BudgetExceeded,
     LengthMismatch,
@@ -41,14 +49,10 @@ from permcodes.linear import (
 )
 from permcodes.mds import extended_rs, reed_solomon
 from permcodes.perms import (
-    MAX_CLIQUE_VERTICES,
     ConstructionCertificate,
     PermutationCode,
     ResidueSubgroupSpec,
     SyndromeTable,
-    _binary_clique,
-    _distance_graph,
-    _max_clique,
     binary_lift,
     code_min_distance,
     compose,
@@ -56,7 +60,6 @@ from permcodes.perms import (
     identity_perm,
     involution_pairs,
     lift_code_into_K,
-    max_binary_code,
     max_code_in_K,
     perm_hamming,
     read_permutation_code,
@@ -592,7 +595,7 @@ def test_three_word_closed_form_beyond_the_vertex_budget():
 def test_three_word_boundary_goes_through_the_clique(monkeypatch):
     # 3t = 2r admits three words: A_2(3, 2) = 4 is {000, 011, 101, 110}
     calls = []
-    monkeypatch.setattr("permcodes.perms._max_clique",
+    monkeypatch.setattr("permcodes.bounds._max_clique",
                         lambda neigh: calls.append(neigh) or _max_clique(neigh))
     size, witness = max_binary_code(3, 2)
     assert size == 4 and len(calls) == 1
@@ -710,17 +713,35 @@ def test_clique_work_budget(monkeypatch):
     work = 468
     words = [w for w in itertools.product((0, 1), repeat=6) if sum(w) >= 3]
     neigh = _distance_graph(words, 3)
-    monkeypatch.setattr("permcodes.perms.MAX_CLIQUE_WORK", work)
+    monkeypatch.setattr("permcodes.bounds.MAX_CLIQUE_WORK", work)
     assert len(_max_clique(neigh)) == 7
-    monkeypatch.setattr("permcodes.perms.MAX_CLIQUE_WORK", work - 1)
+    monkeypatch.setattr("permcodes.bounds.MAX_CLIQUE_WORK", work - 1)
     with pytest.raises(BudgetExceeded,
                        match=rf"^clique search colors more than {work - 1} candidates$"):
         _max_clique(neigh)
     with pytest.raises(BudgetExceeded):
         max_binary_code(6, 3)
     # the empty graph colors nothing, so no budget stops it
-    monkeypatch.setattr("permcodes.perms.MAX_CLIQUE_WORK", 0)
+    monkeypatch.setattr("permcodes.bounds.MAX_CLIQUE_WORK", 0)
     assert _max_clique([]) == []
+
+
+def test_clique_search_leaves_no_cycle(monkeypatch):
+    # the search recurses through a closure over neigh: once it returns or
+    # raises, reference counting alone lets go of neigh
+    words = [w for w in itertools.product((0, 1), repeat=6) if sum(w) >= 3]
+    neigh = _distance_graph(words, 3)
+    gc.disable()
+    try:
+        before = sys.getrefcount(neigh)
+        assert len(_max_clique(neigh)) == 7
+        assert sys.getrefcount(neigh) == before
+        monkeypatch.setattr("permcodes.bounds.MAX_CLIQUE_WORK", 1)
+        with pytest.raises(BudgetExceeded):
+            _max_clique(neigh)
+        assert sys.getrefcount(neigh) == before
+    finally:
+        gc.enable()
 
 
 @settings(max_examples=200, deadline=None)
