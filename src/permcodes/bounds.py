@@ -9,6 +9,8 @@ The almost-MDS bound takes A_2(r, d), the largest binary code of length r at
 Hamming distance d, which max_binary_code decides exactly: in closed form
 where no three words fit, else by a branch-and-bound clique search with a
 vertex budget (MAX_CLIQUE_VERTICES) and a work budget (MAX_CLIQUE_WORK).
+The search starts from the lexicode: one first-fit pass over the words in
+lexicographic order.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import BudgetExceeded, ParameterError, PreconditionViolated
 from .gf import is_prime_power, next_prime, next_prime_power
@@ -166,38 +168,22 @@ MAX_CLIQUE_VERTICES = 4096
 MAX_CLIQUE_WORK = 10**7
 
 
-def _greedy_orders(n: int, neigh: list[int]) -> Iterator[list[int]]:
-    """Vertex orders for the greedy seeding, made one at a time: n ints each."""
-    yield list(range(n))
-    yield sorted(range(n), key=lambda v: -neigh[v].bit_count())
-    import random  # loaded only when a clique search runs
-
-    rng = random.Random(987654321)
-    for _ in range(6):
-        o = list(range(n))
-        rng.shuffle(o)
-        yield o
-
-
 def _max_clique(neigh: list[int]) -> list[int]:
-    """Exact maximum clique on a bitmask adjacency list (branch and bound
-    with greedy coloring, greedy seeding for the incumbent).
+    """Exact maximum clique on a bitmask adjacency list: branch and bound
+    with greedy coloring, its incumbent seeded by one first-fit pass in
+    vertex order; on A_2's words, which come in lexicographic order, that
+    pass yields the lexicode.
 
     Work is the number of candidates colored, summed over the nodes
     expanded; past MAX_CLIQUE_WORK the search raises BudgetExceeded."""
     n = len(neigh)
-    best: list[int] = []
-    for order in _greedy_orders(n, neigh):
-        cur: list[int] = []
-        allowed = (1 << n) - 1
-        for v in order:
-            if allowed >> v & 1:
-                cur.append(v)
-                allowed &= neigh[v]
-        if len(cur) > len(best):
-            best = cur
-    best_size = len(best)
-    best_set = sorted(best)
+    best_set: list[int] = []
+    allowed = (1 << n) - 1
+    for v in range(n):
+        if allowed >> v & 1:
+            best_set.append(v)
+            allowed &= neigh[v]
+    best_size = len(best_set)
     work = 0
 
     def expand(cand: int, cur: list[int]) -> None:

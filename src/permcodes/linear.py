@@ -200,7 +200,7 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) -> int
     costs C(k, v)(q-1)^(v-1) words per set, so a search that stops at level
     w costs at most (n - k + 1) times the sum of those for v <= w, never
     more than (n - k + 1)(q^k - 1)/(q - 1); a word is one pass over n - k
-    entries.  The budget still gates q^k, as for a full scan.
+    entries.  The budget gates q^k, the message count of a full scan.
     """
     if code._dmin is not None:
         return code._dmin

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from permcodes import perms
 from permcodes.cli import main
 from permcodes.perms import read_permutation_code
 
@@ -169,6 +170,20 @@ def test_construct_needs_seed_for_ones_row(capsys):
     got = run(capsys, "construct", "--d", "3", "--q", "7", "--n", "6", "--k", "4",
               "--source", "rs", "--gamma", "greedy")
     assert got == (1, "", "usage error: --seed is required (full-weight dual search)\n")
+
+
+def test_construct_exits_3_when_the_bucket_check_fails(tmp_path, capsys, monkeypatch):
+    # the bucket's distance check reads d - 1, while the one-row gamma' of
+    # --gamma identity still reads inf: only the bucket check fails
+    real = perms.code_min_distance
+    monkeypatch.setattr("permcodes.perms.code_min_distance",
+                        lambda rows, d, **kw: real(rows, d, **kw) if len(rows) < 2 else d - 1)
+    pc_path, cert_path = tmp_path / "pc.txt", tmp_path / "c.cert"
+    got = run(capsys, "construct", "--d", "3", "--q", "7", "--n", "6", "--k", "4",
+              "--source", "rs", "--gamma", "identity", "--seed", "7",
+              "--out", str(pc_path), "--cert", str(cert_path))
+    assert got == (3, "", "verification failed: bucket distance 2 fell below the guaranteed 3\n")
+    assert not pc_path.exists() and not cert_path.exists()
 
 
 def test_construct_budget_exit(capsys):

@@ -9,6 +9,8 @@ verification, which would fail for any reducible modulus.
 from bisect import bisect_left
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import factorint, isprime, nextprime
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p
@@ -147,6 +149,29 @@ def test_field_axioms_exhaustive(q):
                 assert add[add[a][b]][c] == add[a][add[b][c]]
                 assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
                 assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
+
+
+@pytest.mark.parametrize("q", [81, 125, 128, 243, 256, 343, 512, 625, 729, 1021, 1024])
+def test_field_axioms_sampled_past_the_oracle(q):
+    """The axioms of test_field_axioms_exhaustive on drawn elements, for the
+    orders between the sympy oracle's 64 and MAX_FIELD_ORDER.  The tables are
+    built on a spec of their own, so they are freed when the test ends."""
+    spec = field_make(q)
+    add, mul, neg, inv = FieldSpec(spec.p, spec.m, spec.modulus).tables()
+    element = st.integers(0, q - 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(element, element, element)
+    def axioms(a, b, c):
+        assert add[a][0] == a and mul[a][1] == a and mul[a][0] == 0
+        assert add[a][neg[a]] == 0
+        assert inv[a] is None if a == 0 else mul[a][inv[a]] == 1
+        assert add[a][b] == add[b][a] and mul[a][b] == mul[b][a]
+        assert add[add[a][b]][c] == add[a][add[b][c]]
+        assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
+        assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
+
+    axioms()
 
 
 @pytest.mark.parametrize("q", [4, 8, 9])

@@ -167,12 +167,14 @@ PLANS = {
 }
 
 # subcommand -> standard modules it must not load: a file check parses no
-# fraction, and only a clique search or a seeded search draws a random number.
-# Only what loads from the package root on counts, since a site .pth file may
-# import random before the command runs.
+# fraction, and only a seeded search draws a random number (the clique search
+# seeds itself by a first-fit pass).  Only what loads from the package root on
+# counts, since a site .pth file may import random before the command runs;
+# where it does, the random entries check nothing.
 UNLOADED = {
     "table": {"random"},
     "compare new-vs-old": {"random"},
+    "compare amds-vs-old": {"random"},
     "verify": {"fractions", "decimal", "random"},
 }
 

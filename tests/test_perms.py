@@ -542,6 +542,32 @@ def test_max_binary_code_frozen_values():
             assert sum(x != y for x, y in zip(a, b)) >= d
 
 
+def test_max_binary_code_matches_classical_values():
+    # every (r, t) with r <= 12 outside the three-word range that the clique
+    # search decides within 2 * 10^6 work: t <= 2 gives every word (t = 1)
+    # or the even-weight words (t = 2), the rest are the classical table
+    known = {(r, 1): 2**r for r in range(2, 13)}
+    known.update({(r, 2): 2 ** (r - 1) for r in range(3, 13)})
+    known.update({
+        (5, 3): 4, (6, 3): 8, (6, 4): 4, (7, 3): 16, (7, 4): 8, (8, 4): 16,
+        (8, 5): 4, (9, 5): 6, (9, 6): 4, (10, 6): 6, (11, 7): 4, (12, 8): 4,
+    })
+    assert len(known) == 33 and not any(2 * r < 3 * t for r, t in known)
+    for (r, t), want in known.items():
+        size, witness = max_binary_code(r, t)
+        words = {int("".join(map(str, w)), 2) for w in witness}
+        assert size == want == len(words), (r, t)
+        # pairwise distance >= t: no word lies within t - 1 flips of another
+        flips = [sum(1 << b for b in bits)
+                 for i in range(1, t) for bits in itertools.combinations(range(r), i)]
+        assert not any(w ^ f in words for w in words for f in flips), (r, t)
+    # parity extension: A_2(r, 2s - 1) = A_2(r + 1, 2s)
+    odd = [(r, t) for r, t in known if t % 2 and (r + 1, t + 1) in known]
+    assert len(odd) == 16
+    for r, t in odd:
+        assert known[r, t] == known[r + 1, t + 1]
+
+
 def test_max_binary_code_budget_and_validation():
     with pytest.raises(ParameterError):
         max_binary_code(0, 1)
