@@ -20,9 +20,7 @@ _EXPORTS = {
         gv_lower hamming_ball_size max_binary_code mds_lower mds_plus1_lower
         old_prime_lower ratio_amds_old ratio_new_old singleton_like_upper
         sphere_packing_upper""",
-    "errors": """BudgetExceeded DimensionMismatch LengthMismatch NotAPrimePower
-        NotFullWeight NotInDual ParameterError ParseError PermcodesError
-        PreconditionViolated SpecMismatch VerificationFailed""",
+    "errors": "BudgetExceeded ParameterError ParseError PermcodesError VerificationFailed",
     "gf": "FieldSpec field_make is_prime is_prime_power next_prime next_prime_power",
     "linear": """LinearCode MatrixGF dual find_full_weight_dual_codeword in_dual
         min_distance normalize_first_row_ones parity_check

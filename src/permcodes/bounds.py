@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import BudgetExceeded, ParameterError, PreconditionViolated
+from .errors import BudgetExceeded, ParameterError
 from .gf import is_prime_power, next_prime, next_prime_power
 
 _DERANGEMENTS = [1, 0]
@@ -106,9 +106,9 @@ class AmdsBound(NamedTuple):
 def _amds_range(n: int, q: int) -> None:
     """The AMDS bound's range: q a prime power and q < n <= 2q."""
     if not is_prime_power(q):
-        raise PreconditionViolated(f"q={q} is not a prime power")
+        raise ParameterError(f"q={q} is not a prime power")
     if not q < n <= 2 * q:
-        raise PreconditionViolated(f"need q < n <= 2q, got n={n}, q={q}")
+        raise ParameterError(f"need q < n <= 2q, got n={n}, q={q}")
 
 
 def amds_lower(n: int, d: int, q: int, a2_value: int) -> AmdsBound:

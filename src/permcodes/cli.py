@@ -501,6 +501,8 @@ def build_parser():
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    if sys.version_info >= (3, 10, 7):  # the 4,300-digit limit came in 3.10.7
+        sys.set_int_max_str_digits(0)  # integers print in full
     # before argparse: a module compiled on top of argparse and the parser
     # raised the peak RSS in measurement
     for name in COMMAND_MODULES.get(argv[0] if argv else None, ()):

@@ -14,7 +14,7 @@ import itertools
 import math
 from typing import NamedTuple
 
-from .errors import BudgetExceeded, NotAPrimePower, ParameterError
+from .errors import BudgetExceeded, ParameterError
 
 # the largest field built: its add and mul tables hold q^2 <= 2^20 entries
 # each, and the modulus search, which grows as p^(m/2), stays small
@@ -38,9 +38,9 @@ class PrimePower(NamedTuple):
 
 
 def factor_prime_power(q: int) -> PrimePower:
-    """Split q into (p, m) with q = p^m and p prime, or raise NotAPrimePower."""
+    """Split q into (p, m) with q = p^m and p prime, or raise ParameterError."""
     if q < 2:
-        raise NotAPrimePower(f"{q} is not a prime power")
+        raise ParameterError(f"{q} is not a prime power")
     p = _least_factor(q)
     m = 0
     t = q
@@ -48,7 +48,7 @@ def factor_prime_power(q: int) -> PrimePower:
         t //= p
         m += 1
     if t != 1:
-        raise NotAPrimePower(f"{q} is not a prime power")
+        raise ParameterError(f"{q} is not a prime power")
     return PrimePower(p, m, q)
 
 
@@ -56,7 +56,7 @@ def is_prime_power(n: int) -> bool:
     try:
         factor_prime_power(n)
         return True
-    except NotAPrimePower:
+    except ParameterError:
         return False
 
 

@@ -16,15 +16,7 @@ import random
 from itertools import product
 from operator import eq
 
-from .errors import (
-    BudgetExceeded,
-    DimensionMismatch,
-    NotFullWeight,
-    NotInDual,
-    ParameterError,
-    ParseError,
-    SpecMismatch,
-)
+from .errors import BudgetExceeded, ParameterError, ParseError
 from .gf import FieldSpec, field_make
 from .verifier import _file_records, _write_records
 
@@ -40,11 +32,11 @@ class MatrixGF:
     def __init__(self, spec: FieldSpec, rows) -> None:
         rows = tuple(tuple(r) for r in rows)
         if not rows or not rows[0]:
-            raise DimensionMismatch("matrix needs at least one row and column")
+            raise ParameterError("matrix needs at least one row and column")
         width = len(rows[0])
         for r in rows:
             if len(r) != width:
-                raise DimensionMismatch("ragged rows")
+                raise ParameterError("ragged rows")
             for x in r:
                 if not 0 <= x < spec.q:
                     raise ParameterError(f"entry {x} out of range for GF({spec.q})")
@@ -121,7 +113,7 @@ class LinearCode:
     def __init__(self, spec: FieldSpec, generator) -> None:
         G = generator if isinstance(generator, MatrixGF) else MatrixGF(spec, generator)
         if G.spec != spec:
-            raise SpecMismatch("generator matrix belongs to a different field spec")
+            raise ParameterError("generator matrix belongs to a different field spec")
         n = G.ncols
         k = G.nrows
         if not 0 < k < n:
@@ -293,7 +285,7 @@ def dual(code: LinearCode) -> LinearCode:
 def in_dual(code: LinearCode, vec: tuple[int, ...]) -> bool:
     """Is vec orthogonal to every generator row?"""
     if len(vec) != code.n:
-        raise DimensionMismatch("vector length differs from code length")
+        raise ParameterError("vector length differs from code length")
     spec = code.spec
     add, mul, _, _ = spec.tables()
     for row in code.generator.rows:
@@ -308,12 +300,12 @@ def in_dual(code: LinearCode, vec: tuple[int, ...]) -> bool:
 def parity_check_with_ones_row(code: LinearCode) -> MatrixGF:
     """Parity check matrix whose first row is all ones.
 
-    Requires the all-ones vector to lie in the dual; raises NotInDual
+    Requires the all-ones vector to lie in the dual; raises ParameterError
     otherwise.
     """
     ones = tuple([1] * code.n)
     if not in_dual(code, ones):
-        raise NotInDual("all-ones vector is not in the dual code")
+        raise ParameterError("all-ones vector is not in the dual code")
     # Row j of parity_check is 1 on the j-th non-pivot column and 0 on the
     # others, so a dual vector is the sum of the rows weighted by its entries
     # there, and ones is the sum of all rows.  Each row but the last is then
@@ -335,11 +327,11 @@ def normalize_first_row_ones(code: LinearCode, w: tuple[int, ...]) -> LinearCode
     """
     n = code.n
     if len(w) != n:
-        raise DimensionMismatch("dual codeword length differs from code length")
+        raise ParameterError("dual codeword length differs from code length")
     if any(x == 0 for x in w):
-        raise NotFullWeight("dual codeword has a zero coordinate")
+        raise ParameterError("dual codeword has a zero coordinate")
     if not in_dual(code, w):
-        raise NotInDual("vector is not in the dual code")
+        raise ParameterError("vector is not in the dual code")
     spec = code.spec
     _, mul, _, _ = spec.tables()
     newg = [[mul[x][y] for x, y in zip(w, row)] for row in code.generator.rows]

@@ -32,14 +32,7 @@ from .bounds import (
     general_firstbound,
     max_binary_code,
 )
-from .errors import (
-    BudgetExceeded,
-    LengthMismatch,
-    ParameterError,
-    PreconditionViolated,
-    SpecMismatch,
-    VerificationFailed,
-)
+from .errors import BudgetExceeded, ParameterError, VerificationFailed
 from .linear import (
     LinearCode,
     MatrixGF,
@@ -68,14 +61,14 @@ def identity_perm(n: int) -> Perm:
 def compose(f: Perm, g: Perm) -> Perm:
     """(f o g)(i) = f(g(i))."""
     if len(f) != len(g):
-        raise LengthMismatch("permutations act on different sets")
+        raise ParameterError("permutations act on different sets")
     return tuple(f[x - 1] for x in g)
 
 
 def perm_hamming(a: Perm, b: Perm) -> int:
     """Number of positions where the permutations disagree."""
     if len(a) != len(b):
-        raise LengthMismatch("permutations act on different sets")
+        raise ParameterError("permutations act on different sets")
     return sum(1 for x, y in zip(a, b) if x != y)
 
 
@@ -426,11 +419,9 @@ def construct_permutation_code(
     kspec = ResidueSubgroupSpec.for_params(n, q)
     for g in members:
         if not kspec.contains(g):
-            raise PreconditionViolated(f"{g} is outside the residue subgroup")
+            raise ParameterError(f"{g} is outside the residue subgroup")
     if code_min_distance(members, d) < d:
-        raise PreconditionViolated(
-            "gamma_prime min distance is below the code distance"
-        )
+        raise ParameterError("gamma_prime min distance is below the code distance")
     k_order = kspec.order
     coset_count = math.factorial(n) // k_order
     sweep = coset_count * len(members)
@@ -524,12 +515,12 @@ def max_code_in_K(
 def involution_pairs(spec: ResidueSubgroupSpec) -> tuple[tuple[int, int], ...]:
     """The 2-element orbits of a subgroup shaped like (S_2)^r.
 
-    Raises SpecMismatch when any orbit has more than two elements.
+    Raises ParameterError when any orbit has more than two elements.
     """
     pairs = []
     for cls in spec.residue_classes():
         if len(cls) > 2:
-            raise SpecMismatch(
+            raise ParameterError(
                 f"class {cls} has size {len(cls)}; subgroup is not (S_2)^r"
             )
         if len(cls) == 2:

@@ -14,7 +14,7 @@ import math
 import operator
 from pathlib import Path
 
-from .errors import BudgetExceeded, LengthMismatch, ParameterError, ParseError
+from .errors import BudgetExceeded, ParameterError, ParseError
 
 Perm = tuple[int, ...]
 
@@ -98,7 +98,7 @@ def code_min_distance(
         return math.inf
     n = len(members[0])
     if any(len(p) != n for p in members):
-        raise LengthMismatch("permutations act on different sets")
+        raise ParameterError("permutations act on different sets")
     packed, fields = _pack_rows(members, n)
     hashed = 0
 

@@ -21,7 +21,7 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_mul, gf_rem, gf_strip
 
 from permcodes.bounds import _max_clique
-from permcodes.errors import BudgetExceeded, NotInDual, ParameterError
+from permcodes.errors import BudgetExceeded, ParameterError
 from permcodes.linear import (
     DEFAULT_DISTANCE_BUDGET,
     LinearCode,
@@ -243,12 +243,13 @@ def nonzero_weight_set(code: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) 
 def oracle_ones_row_check(code):
     """A parity check matrix with an all-ones first row, built greedily: the
     ones row, then each row of parity_check(code) that raises the rank of
-    the rows kept so far.  Raises NotInDual when some generator row does not
-    sum to zero, that is when the all-ones vector is not in the dual."""
+    the rows kept so far.  Raises ParameterError when some generator row
+    does not sum to zero, that is when the all-ones vector is not in the
+    dual."""
     spec = code.spec
     add, _ = oracle_tables(spec)
     if any(functools.reduce(lambda a, b: add[a][b], row) for row in code.generator.rows):
-        raise NotInDual("all-ones vector is not in the dual code")
+        raise ParameterError("all-ones vector is not in the dual code")
     sel = [(1,) * code.n]
     for row in parity_check(code).rows:
         if rref(MatrixGF(spec, sel + [row]))[1] > len(sel):

@@ -27,7 +27,7 @@ from permcodes.bounds import (
     singleton_like_upper,
     sphere_packing_upper,
 )
-from permcodes.errors import ParameterError, PreconditionViolated
+from permcodes.errors import ParameterError
 
 from oracles import oracle_perm_distance
 
@@ -164,10 +164,10 @@ def test_amds_lower_frozen():
 
 
 def test_amds_lower_preconditions():
-    with pytest.raises(PreconditionViolated):
-        amds_lower(8, 6, 6, a2_value=2)  # q not a prime power
-    with pytest.raises(PreconditionViolated):
-        amds_lower(10, 6, 4, a2_value=2)  # n > 2q
+    with pytest.raises(ParameterError, match="^q=6 is not a prime power$"):
+        amds_lower(8, 6, 6, a2_value=2)
+    with pytest.raises(ParameterError, match=r"^need q < n <= 2q, got n=10, q=4$"):
+        amds_lower(10, 6, 4, a2_value=2)
     flagged = amds_lower(6, 2, 4, a2_value=4)
     assert flagged.flags["length_within_amds_range"] is False
 

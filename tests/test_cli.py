@@ -1,15 +1,23 @@
 """Command line behavior: output shapes, determinism, exit codes."""
 
+import argparse
+import contextlib
+import io
 import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
-from permcodes import perms
-from permcodes.cli import main
+from permcodes import bounds, errors, perms
+from permcodes.cli import build_parser, main
+from permcodes.linear import write_code_file
+from permcodes.mds import reed_solomon
 from permcodes.perms import read_permutation_code
 
 
@@ -506,3 +514,145 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout == "[]\n"
+
+
+# ---------------------------------------------------------------------------
+# Exact integers of any length
+
+
+def test_table_prints_integers_past_the_str_digit_limit(capsys):
+    # at d = 3, n = 1560 is the first n whose default columns (old and mds,
+    # 4,303 digits each) pass the 4,300 digits str(int) allows by default
+    rc, out, err = run(capsys, "table", "--d", "3", "--n-min", "1560", "--n-max", "1560")
+    assert (rc, err) == (0, "")
+    header, row = out.splitlines()
+    cells = bounds.bound_report(1560, 3)
+    printed = dict(zip(header.split(","), row.split(",")))
+    assert printed.pop("n") == "1560"
+    # main lifted the limit for this process, so str() of the cells works here
+    assert {c: text.rstrip("*") for c, text in printed.items()} == {
+        c: str(cells[c].rounded) if cells[c].applicable else "" for c in printed
+    }
+    assert max(map(len, printed.values())) > 4300
+
+
+def test_compare_prints_integers_past_the_str_digit_limit(capsys):
+    rc, out, err = run(capsys, "compare", "--mode", "amds-vs-old",
+                       "--q", "1024", "--alpha", "2", "--b", "3/4")
+    assert (rc, err) == (0, "")
+    q, n, d, a2, _, ratio_exact, threshold = out.splitlines()[1].split(",")
+    assert (q, n, d, a2, threshold) == ("1024", "2048", "1536", "2", "1/2")
+    _, _, ratio = bounds.ratio_amds_old(1024, Fraction(2), Fraction(3, 4), 2)
+    assert ratio_exact == str(ratio)
+    assert len(str(ratio.numerator)) > 4300
+
+
+# ---------------------------------------------------------------------------
+# Each error class gives its exit code
+
+
+def test_errors_defines_one_class_per_exit_code():
+    public = {
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.PermcodesError)
+        and not name.startswith("_")
+    }
+    assert public == {"PermcodesError", "ParseError", "ParameterError",
+                      "VerificationFailed", "BudgetExceeded"}
+
+
+@pytest.mark.parametrize("error,rc,prefix", [
+    (errors.ParseError, 1, "parse error"),
+    (errors.ParameterError, 2, "infeasible"),
+    (errors.VerificationFailed, 3, "verification failed"),
+    (errors.BudgetExceeded, 4, "budget exceeded"),
+])
+def test_each_error_class_gives_its_exit_code(capsys, monkeypatch, error, rc, prefix):
+    def fail(q):
+        raise error("raised inside the command")
+
+    monkeypatch.setattr("permcodes.gf.field_make", fail)
+    assert run(capsys, "field", "--q", "4") == (rc, "", f"{prefix}: raised inside the command\n")
+
+
+# ---------------------------------------------------------------------------
+# Every input ends in an exit code of 0 to 4
+
+
+def _subcommand_actions():
+    """subcommand -> its arguments, read from build_parser() itself (--help
+    leaves through argparse's SystemExit by design, so it is left out)."""
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        for name, parser in sub.choices.items()
+    }
+
+
+SUBCOMMAND_ACTIONS = _subcommand_actions()
+# an argument with no choices takes a small integer most of the time, else a
+# fraction, a list or junk; n, k and q stay at 12 or below so that each
+# command ends quickly
+INT_VALUES = [str(i) for i in range(-2, 13)]
+OTHER_VALUES = ["x", "3/4", "1/0", "abc", "4,5", "gv,mds"]
+# relative to the directory that cli_inputs makes, where each check runs
+INPUT_FILES = ["missing.txt", "empty.txt", "malformed.txt", "code.txt", "pc.txt"]
+INPUT_DESTS = {"file", "code_file"}
+OUTPUT_DESTS = {"out", "cert", "emit_code"}
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli_inputs")
+    (root / "empty.txt").write_text("")
+    (root / "malformed.txt").write_text("7 6 2\n1 0 x\n")
+    write_code_file(reed_solomon(7, 6, 3), root / "code.txt")
+    (root / "pc.txt").write_text("5 2 3\n1 2 3 4 5\n2 3 1 4 5\n")
+    (root / "out").mkdir()
+    return root
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(SUBCOMMAND_ACTIONS)))
+    # each required argument most of the time, each other one half of it
+    chosen = [
+        a for a in SUBCOMMAND_ACTIONS[command]
+        if draw(st.integers(0, 7) if a.required else st.booleans())
+    ]
+    argv = [command]
+    for action in draw(st.permutations(chosen)):
+        if action.option_strings:
+            argv.append(draw(st.sampled_from(action.option_strings)))
+        if action.dest in INPUT_DESTS:
+            argv.append(draw(st.sampled_from(INPUT_FILES)))
+        elif action.dest in OUTPUT_DESTS:
+            argv.append(f"out/{action.dest}.txt")
+        elif action.choices:
+            argv.append(draw(st.sampled_from(sorted(action.choices))))
+        elif action.nargs != 0:
+            values = INT_VALUES if draw(st.integers(0, 15)) else OTHER_VALUES
+            argv.append(draw(st.sampled_from(values)))
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv=cli_argv())
+@example(argv=["table", "--d", "3", "--n-min", "1560", "--n-max", "1560"])
+@example(argv=["compare", "--mode", "amds-vs-old", "--q", "1024", "--alpha", "2", "--b", "3/4"])
+def test_every_cli_input_ends_in_an_exit_code_of_0_to_4(cli_inputs, argv):
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(cli_inputs)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    finally:
+        os.chdir(cwd)
+    assert type(rc) is int and 0 <= rc <= 4, (rc, err.getvalue())
+    event(f"{argv[0]} exit {rc}")
+    if rc in (1, 2, 4):
+        assert out.getvalue() == "", rc
+        assert err.getvalue(), rc
+    if rc == 3:
+        assert argv[0] == "verify" or out.getvalue() == ""

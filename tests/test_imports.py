@@ -111,9 +111,8 @@ def test_package_uses_every_private_name():
 # Import plan
 
 
-def _python(args, cwd, extra_path=()):
-    path = os.pathsep.join([*map(str, extra_path), str(PACKAGE.parent),
-                            os.environ.get("PYTHONPATH", "")])
+def _python(args, cwd):
+    path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
     return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path})
 
@@ -168,9 +167,8 @@ PLANS = {
 
 # subcommand -> standard modules it must not load: a file check parses no
 # fraction, and only a seeded search draws a random number (the clique search
-# seeds itself by a first-fit pass).  Only what loads from the package root on
-# counts, since a site .pth file may import random before the command runs;
-# where it does, the random entries check nothing.
+# seeds itself by a first-fit pass).  The command runs under python -S, so no
+# site .pth file imports any of them first.
 UNLOADED = {
     "table": {"random"},
     "compare new-vs-old": {"random"},
@@ -178,8 +176,10 @@ UNLOADED = {
     "verify": {"fractions", "decimal", "random"},
 }
 
-# records sys.modules, in load order, when the interpreter exits
-RECORDER = """import atexit, sys
+# runs the CLI as python -m would, and records sys.modules, in load order,
+# when the interpreter exits; python -S skips site start-up, sitecustomize
+# included, so the recorder is installed here
+RECORDER = """import atexit, runpy, sys
 
 
 def _record():
@@ -188,6 +188,7 @@ def _record():
 
 
 atexit.register(_record)
+runpy.run_module("permcodes.cli", run_name="__main__", alter_sys=True)
 """
 
 
@@ -195,13 +196,11 @@ atexit.register(_record)
 def test_cli_command_loads_only_its_modules_before_argparse(tmp_path, command):
     argv, modules = PLANS[command]
     record = tmp_path / "modules.txt"
-    (tmp_path / "site").mkdir()
-    (tmp_path / "site" / "sitecustomize.py").write_text(RECORDER.format(path=str(record)))
     (tmp_path / "pc.txt").write_text("5 2 3\n1 2 3 4 5\n2 3 1 4 5\n")
-    done = _python(["-m", "permcodes.cli", *argv.split()], tmp_path, [tmp_path / "site"])
+    done = _python(["-S", "-c", RECORDER.format(path=str(record)), *argv.split()], tmp_path)
     assert done.returncode == 0, done.stderr
     loaded = record.read_text().split("\n")
     ours = [m for m in loaded if m.startswith("permcodes.")]
     assert {m.removeprefix("permcodes.") for m in ours} == modules
     assert all(loaded.index(m) < loaded.index("argparse") for m in ours)
-    assert not UNLOADED.get(command, set()) & set(loaded[loaded.index("permcodes"):])
+    assert not UNLOADED.get(command, set()) & set(loaded)

@@ -11,6 +11,7 @@ import gc
 import itertools
 import math
 import random
+import re
 import sys
 import time
 import weakref
@@ -27,15 +28,7 @@ from permcodes.bounds import (
     max_binary_code,
     singleton_like_upper,
 )
-from permcodes.errors import (
-    BudgetExceeded,
-    LengthMismatch,
-    ParameterError,
-    ParseError,
-    PreconditionViolated,
-    SpecMismatch,
-    VerificationFailed,
-)
+from permcodes.errors import BudgetExceeded, ParameterError, ParseError, VerificationFailed
 from permcodes.gf import field_make, is_prime_power
 from permcodes.linear import (
     LinearCode,
@@ -135,7 +128,7 @@ def test_code_min_distance_against_pair_loop():
     # n = 2: level t0 = 1 never collides for distinct rows, so the result is n
     for expected in range(5):
         assert code_min_distance([(1, 2), (2, 1)], expected) == 2
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ParameterError, match="^permutations act on different sets$"):
         code_min_distance([(1, 2), (1, 2, 3)])
 
 
@@ -653,8 +646,9 @@ def test_binary_lift_validation():
 def test_involution_pairs():
     spec = ResidueSubgroupSpec.for_params(6, 3)  # classes {1,4},{2,5},{3,6}
     assert involution_pairs(spec) == ((1, 4), (2, 5), (3, 6))
-    with pytest.raises(SpecMismatch):
-        involution_pairs(ResidueSubgroupSpec.for_params(7, 3))  # a class of 3
+    message = re.escape("class (1, 4, 7) has size 3; subgroup is not (S_2)^r")
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        involution_pairs(ResidueSubgroupSpec.for_params(7, 3))
 
 
 def test_lift_code_into_K():
@@ -857,10 +851,11 @@ def test_construct_accepts_gamma_as_an_iterator():
 def test_construct_rejects_gamma_outside_K():
     work = build_fixture_a()
     bad = [(2, 1, 3, 4, 5, 6)]  # swaps residues 2 and 1 mod 7
-    with pytest.raises(PreconditionViolated):
+    outside = r"^\({}\) is outside the residue subgroup$"
+    with pytest.raises(ParameterError, match=outside.format("2, 1, 3, 4, 5, 6")):
         construct_permutation_code(work, bad)
     not_a_perm = [(8, 2, 3, 4, 5, 6)]  # right residues, but not in S_6
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(ParameterError, match=outside.format("8, 2, 3, 4, 5, 6")):
         construct_permutation_code(work, not_a_perm)
 
 
@@ -873,7 +868,7 @@ def test_construct_rejects_weak_gamma():
     kspec = ResidueSubgroupSpec.for_params(6, 5)
     gamma = list(subgroup_K(kspec).members)
     assert len(gamma) == 2
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(ParameterError, match="^gamma_prime min distance is below the code distance$"):
         construct_permutation_code(work, gamma)
 
 
