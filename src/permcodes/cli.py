@@ -5,8 +5,9 @@ A command imports only the modules it uses: its package modules
 (COMMAND_MODULES) before argparse, and decimal and fractions only where it
 formats or parses a fraction.  So no process compiles modules it never calls.
 Exit codes: 0 success, 1 usage or malformed input, 2 infeasible parameters
-or empty search, 3 verification failure, 4 budget exceeded.  All output is
-deterministic for fixed flags: same bytes on every run.
+or empty search, 3 verification failure, 4 budget exceeded; each error class
+carries its own code and stderr label.  A command writes its files before
+stdout.  All output is deterministic for fixed flags: same bytes on every run.
 """
 
 from __future__ import annotations
@@ -16,18 +17,7 @@ import math
 import sys
 from pathlib import Path
 
-from .errors import (
-    BudgetExceeded,
-    ParseError,
-    PermcodesError,
-    VerificationFailed,
-)
-
-EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_INFEASIBLE = 2
-EXIT_VERIFICATION = 3
-EXIT_BUDGET = 4
+from .errors import ParameterError, PermcodesError, VerificationFailed
 
 MARK_COLUMNS = {"old", "mds", "mds+1"}
 DEFAULT_TABLE_COLUMNS = "mds,mds+1,old"
@@ -45,8 +35,9 @@ COMMAND_MODULES = {
 }
 
 
-class _UsageError(Exception):
-    pass
+class _UsageError(PermcodesError):
+    exit_code = 1
+    label = "usage error"
 
 
 def format_sig6(fr) -> str:
@@ -149,7 +140,7 @@ def cmd_table(args) -> int:
             row.append(text)
         rows.append(row)
     _emit(_render_table(["n"] + columns, rows, args.format), args.out)
-    return EXIT_OK
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +180,7 @@ def cmd_construct(args) -> int:
     code = _load_construct_code(args)
     dm = linear.min_distance(code, **budget)
     if dm < args.d:
-        print(
-            f"infeasible: code has distance {dm}, below requested {args.d}",
-            file=sys.stderr,
-        )
-        return EXIT_INFEASIBLE
+        raise ParameterError(f"code has distance {dm}, below requested {args.d}")
 
     if args.ones_row and args.seed is None:
         raise _UsageError("--seed is required (full-weight dual search)")
@@ -213,12 +200,7 @@ def cmd_construct(args) -> int:
     if args.ones_row:
         w = linear.find_full_weight_dual_codeword(code, args.seed, **budget)
         if w is None:
-            print(
-                "infeasible: no full-weight dual codeword found; "
-                "try --no-ones-row",
-                file=sys.stderr,
-            )
-            return EXIT_INFEASIBLE
+            raise ParameterError("no full-weight dual codeword found; try --no-ones-row")
         work = linear.normalize_first_row_ones(code, w)
     else:
         work = code
@@ -242,7 +224,7 @@ def cmd_construct(args) -> int:
         f"distance={cert.verified_distance} "
         f"syndrome={' '.join(str(x) for x in cert.syndrome)}"
     )
-    return EXIT_OK
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +255,9 @@ def cmd_verify(args) -> int:
     if problems:
         for p in problems:
             print(f"FAIL: {p}")
-        return EXIT_VERIFICATION
+        return VerificationFailed.exit_code
     print("PASS")
-    return EXIT_OK
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +301,7 @@ def cmd_compare(args) -> int:
             )
         header = ["n", "d", "ratio", "envelope", "ratio_exact", "envelope_exact"]
         _emit(_render_table(header, rows, args.format), args.out)
-        return EXIT_OK
+        return 0
 
     # amds-vs-old
     if args.q is None:
@@ -344,7 +326,7 @@ def cmd_compare(args) -> int:
         )
     header = ["q", "n", "d", "a2", "ratio", "ratio_exact", "b_threshold"]
     _emit(_render_table(header, rows, args.format), args.out)
-    return EXIT_OK
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +363,7 @@ def cmd_field(args) -> int:
         print("mul:")
         for row in mul:
             print(",".join(str(x) for x in row))
-    return EXIT_OK
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -400,15 +382,15 @@ def cmd_code_search(args) -> int:
             f"{args.trials} trials",
             file=sys.stderr,
         )
-        return EXIT_INFEASIBLE
+        return ParameterError.exit_code
+    if args.out:
+        linear.write_code_file(code, args.out)
     defect = linear.singleton_defect(code)
     print(
         f"found: [{code.n},{code.k},{code.d}]_{code.spec.q} "
         f"singleton_defect={defect} seed={args.seed}"
     )
-    if args.out:
-        linear.write_code_file(code, args.out)
-    return EXIT_OK
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -513,24 +495,12 @@ def main(argv=None) -> int:
         if not hasattr(args, "func"):
             raise _UsageError("a subcommand is required (see --help)")
         return args.func(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BudgetExceeded as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except VerificationFailed as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
+        return 1
     except PermcodesError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

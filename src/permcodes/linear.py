@@ -250,7 +250,10 @@ def _lightest(spec: FieldSpec, rows: list[list[int]], w: int, best: int, floor: 
                     return True
         return False
 
-    extend([0] * m, 0, w, True)
+    try:
+        extend([0] * m, 0, w, True)
+    finally:
+        del extend  # it holds its own cell: clearing that frees the rows without the gc
     return best
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from permcodes import bounds, errors, perms
+from permcodes import bounds, cli, errors, perms
 from permcodes.cli import build_parser, main
 from permcodes.linear import write_code_file
 from permcodes.mds import reed_solomon
@@ -492,6 +492,14 @@ def test_code_search_found(tmp_path, capsys):
     assert out_path.read_text().startswith("4 6 2")
 
 
+def test_code_search_writes_its_file_before_stdout(tmp_path, capsys):
+    # an unwritable --out ends the command before its found: line
+    rc, out, err = run(capsys, "code-search", "--n", "6", "--k", "2", "--d", "4", "--q", "4",
+                       "--seed", "3", "--out", str(tmp_path / "nodir" / "x.txt"))
+    assert (rc, out) == (1, "")
+    assert err.startswith("file error: ")
+
+
 def test_code_search_miss(capsys):
     # Singleton-impossible: d > n - k + 1
     rc, _, err = run(capsys, "code-search", "--n", "6", "--k", "3", "--d", "5",
@@ -566,6 +574,7 @@ def test_errors_defines_one_class_per_exit_code():
     (errors.ParameterError, 2, "infeasible"),
     (errors.VerificationFailed, 3, "verification failed"),
     (errors.BudgetExceeded, 4, "budget exceeded"),
+    (OSError, 1, "file error"),
 ])
 def test_each_error_class_gives_its_exit_code(capsys, monkeypatch, error, rc, prefix):
     def fail(q):
@@ -573,6 +582,13 @@ def test_each_error_class_gives_its_exit_code(capsys, monkeypatch, error, rc, pr
 
     monkeypatch.setattr("permcodes.gf.field_make", fail)
     assert run(capsys, "field", "--q", "4") == (rc, "", f"{prefix}: raised inside the command\n")
+    if error is not OSError:  # the map lives on the class
+        assert (error.exit_code, error.label) == (rc, prefix)
+
+
+def test_usage_error_carries_exit_code_1():
+    assert issubclass(cli._UsageError, errors.PermcodesError)
+    assert (cli._UsageError.exit_code, cli._UsageError.label) == (1, "usage error")
 
 
 # ---------------------------------------------------------------------------
@@ -599,6 +615,7 @@ OTHER_VALUES = ["x", "3/4", "1/0", "abc", "4,5", "gv,mds"]
 INPUT_FILES = ["missing.txt", "empty.txt", "malformed.txt", "code.txt", "pc.txt"]
 INPUT_DESTS = {"file", "code_file"}
 OUTPUT_DESTS = {"out", "cert", "emit_code"}
+OUTPUT_DIRS = ["out", "nodir"]  # nodir does not exist: the file cannot be written
 
 
 @pytest.fixture(scope="module")
@@ -627,7 +644,7 @@ def cli_argv(draw):
         if action.dest in INPUT_DESTS:
             argv.append(draw(st.sampled_from(INPUT_FILES)))
         elif action.dest in OUTPUT_DESTS:
-            argv.append(f"out/{action.dest}.txt")
+            argv.append(f"{draw(st.sampled_from(OUTPUT_DIRS))}/{action.dest}.txt")
         elif action.choices:
             argv.append(draw(st.sampled_from(sorted(action.choices))))
         elif action.nargs != 0:
@@ -640,6 +657,8 @@ def cli_argv(draw):
 @given(argv=cli_argv())
 @example(argv=["table", "--d", "3", "--n-min", "1560", "--n-max", "1560"])
 @example(argv=["compare", "--mode", "amds-vs-old", "--q", "1024", "--alpha", "2", "--b", "3/4"])
+@example(argv=["code-search", "--n", "6", "--k", "2", "--d", "4", "--q", "4", "--seed", "3",
+               "--out", "nodir/out.txt"])
 def test_every_cli_input_ends_in_an_exit_code_of_0_to_4(cli_inputs, argv):
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()

@@ -4,7 +4,10 @@ Every name a module of the package imports is used in it: neither pyflakes
 nor ruff is a dependency, so this is the unused-import lint, and an import
 left behind by a refactor fails here.  Likewise every private module-level
 name is used somewhere in the package, so a helper that a move leaves behind
-fails here.  ``import permcodes`` loads no submodule, and each CLI command
+fails here.  A nested function that calls itself holds its own cell, a
+reference cycle that keeps everything it closes over alive until the cyclic
+collector runs, so the function around it must ``del`` it in a ``finally``.
+``import permcodes`` loads no submodule, and each CLI command
 loads only the modules it runs, all of them before argparse.
 """
 
@@ -105,6 +108,55 @@ def test_the_check_sees_an_unused_private_name():
 def test_package_uses_every_private_name():
     sources = {path.name: path.read_text() for path in MODULES}
     assert _unused_private_names(sources) == []
+
+
+def _recursive_closures(source: str) -> dict[str, bool]:
+    """Map "outer.inner" to whether outer deletes inner in a finally, for
+    each nested function inner that refers to its own name."""
+    found = {}
+
+    def freed(outer, name):
+        return any(
+            isinstance(node, ast.Delete)
+            and any(isinstance(target, ast.Name) and target.id == name for target in node.targets)
+            for block in ast.walk(outer) if isinstance(block, ast.Try)
+            for stmt in block.finalbody for node in ast.walk(stmt)
+        )
+
+    def visit(node, outer):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, outer)
+                continue
+            if outer is not None and any(
+                isinstance(n, ast.Name) and n.id == child.name
+                for stmt in child.body for n in ast.walk(stmt)
+            ):
+                found[f"{outer.name}.{child.name}"] = freed(outer, child.name)
+            visit(child, child)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_the_check_sees_a_recursive_closure_left_in_a_cycle():
+    source = (
+        "def a():\n    def walk(n):\n        return walk(n - 1) if n else 0\n"
+        "    return walk(3)\n\n\n"
+        "def b():\n    def walk(n):\n        return walk(n - 1) if n else 0\n"
+        "    try:\n        return walk(3)\n    finally:\n        del walk\n\n\n"
+        "def c():\n    def leaf(n):\n        return n\n    return leaf(3)\n"
+    )
+    assert _recursive_closures(source) == {"a.walk": False, "b.walk": True}
+
+
+def test_package_frees_every_recursive_closure():
+    found = {
+        f"{path.name}: {name}": freed
+        for path in MODULES for name, freed in _recursive_closures(path.read_text()).items()
+    }
+    assert {"bounds.py: _max_clique.expand", "linear.py: _lightest.extend"} <= found.keys()
+    assert [name for name, freed in found.items() if not freed] == []
 
 
 # ---------------------------------------------------------------------------

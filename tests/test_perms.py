@@ -764,6 +764,19 @@ def test_clique_search_leaves_no_cycle(monkeypatch):
         gc.enable()
 
 
+def test_distance_search_leaves_no_cycle():
+    # the information-set search recurses through a closure over its scaled
+    # rows: once it returns, reference counting alone frees them
+    code = reed_solomon(16, 12, 5)
+    gc.disable()
+    try:
+        gc.collect()
+        assert min_distance(code) == 8
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_distance_graph_matches_pair_loop_on_bit_words(data):
