@@ -1,9 +1,9 @@
 """Command line front end.
 
 Subcommands: table, construct, verify, compare, field, code-search.
-A command imports only the modules it uses: its package modules
-(COMMAND_MODULES) before argparse, and decimal and fractions only where it
-formats or parses a fraction.  So no process compiles modules it never calls.
+A command imports the modules it uses where it runs them, after argparse,
+and decimal and fractions only where it formats or parses a fraction.  So no
+process compiles a module it never calls, and a usage error loads none.
 Exit codes: 0 success, 1 usage or malformed input, 2 infeasible parameters
 or empty search, 3 verification failure, 4 budget exceeded; each error class
 carries its own code and stderr label.  A command writes its files before
@@ -12,7 +12,6 @@ stdout.  All output is deterministic for fixed flags: same bytes on every run.
 
 from __future__ import annotations
 
-import importlib
 import math
 import sys
 from pathlib import Path
@@ -21,18 +20,6 @@ from .errors import ParameterError, PermcodesError, VerificationFailed
 
 MARK_COLUMNS = {"old", "mds", "mds+1"}
 DEFAULT_TABLE_COLUMNS = "mds,mds+1,old"
-
-# subcommand -> the package modules it needs, in the order main imports them
-# (their own imports follow).  The order alone moves the peak RSS by tenths
-# of a MB; these orders gave the lowest peak measured on CPython 3.11.
-COMMAND_MODULES = {
-    "table": ("bounds",),
-    "construct": ("mds", "perms"),
-    "verify": ("verifier",),
-    "compare": ("bounds",),
-    "field": ("gf",),
-    "code-search": ("linear",),
-}
 
 
 class _UsageError(PermcodesError):
@@ -482,13 +469,8 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
     if sys.version_info >= (3, 10, 7):  # the 4,300-digit limit came in 3.10.7
         sys.set_int_max_str_digits(0)  # integers print in full
-    # before argparse: a module compiled on top of argparse and the parser
-    # raised the peak RSS in measurement
-    for name in COMMAND_MODULES.get(argv[0] if argv else None, ()):
-        importlib.import_module(f".{name}", __package__)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -146,6 +146,8 @@ def read_permutation_code(path) -> tuple[int, int, int | float, list[Perm]]:
                 dval: int | float = math.inf if toks[2] == "inf" else int(toks[2])
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: bad header token") from None
+            if n < 1:
+                raise ParseError(f"{path}:{lineno}: header n must be at least 1")
             header = (n, size, dval)
             continue
         try:

@@ -7,8 +7,8 @@ name is used somewhere in the package, so a helper that a move leaves behind
 fails here.  A nested function that calls itself holds its own cell, a
 reference cycle that keeps everything it closes over alive until the cyclic
 collector runs, so the function around it must ``del`` it in a ``finally``.
-``import permcodes`` loads no submodule, and each CLI command
-loads only the modules it runs, all of them before argparse.
+``import permcodes`` loads no submodule, each CLI command
+loads only the modules it runs, and a usage error loads none of them.
 """
 
 import ast
@@ -245,7 +245,7 @@ runpy.run_module("permcodes.cli", run_name="__main__", alter_sys=True)
 
 
 @pytest.mark.parametrize("command", PLANS)
-def test_cli_command_loads_only_its_modules_before_argparse(tmp_path, command):
+def test_cli_command_loads_only_its_modules(tmp_path, command):
     argv, modules = PLANS[command]
     record = tmp_path / "modules.txt"
     (tmp_path / "pc.txt").write_text("5 2 3\n1 2 3 4 5\n2 3 1 4 5\n")
@@ -254,5 +254,15 @@ def test_cli_command_loads_only_its_modules_before_argparse(tmp_path, command):
     loaded = record.read_text().split("\n")
     ours = [m for m in loaded if m.startswith("permcodes.")]
     assert {m.removeprefix("permcodes.") for m in ours} == modules
-    assert all(loaded.index(m) < loaded.index("argparse") for m in ours)
     assert not UNLOADED.get(command, set()) & set(loaded)
+
+
+def test_cli_usage_error_loads_no_command_module(tmp_path):
+    # argparse rejects --d x before any command runs, so nothing it would run loads
+    record = tmp_path / "modules.txt"
+    argv = ["construct", "--d", "x", "--source", "rs"]
+    done = _python(["-S", "-c", RECORDER.format(path=str(record)), *argv], tmp_path)
+    assert done.returncode == 1
+    assert done.stderr.startswith("usage error: argument --d: invalid int value")
+    loaded = record.read_text().split("\n")
+    assert [m for m in loaded if m.startswith("permcodes")] == ["permcodes", "permcodes.errors"]

@@ -986,6 +986,9 @@ def test_permutation_code_parse_errors(tmp_path):
         "notperm.txt": ("4 1 4\n1 2 2 4\n", ":2: not a permutation of 1..4"),
         "alpha.txt": ("4 1 4\n1 2 x 4\n", ":2: non-integer token"),
         "badhead.txt": ("4 1 x\n1 2 3 4\n", ":1: bad header token"),
+        # no permutation of 1..n exists for n < 1
+        "negative_n.txt": ("-3 0 inf\n", ":1: header n must be at least 1"),
+        "zero_n.txt": ("0 0 inf\n", ":1: header n must be at least 1"),
         "indented_comment.txt": ("   # n size d\n4 1\n", ":2: header must be 'n size d'"),
         "glued_comment.txt": ("#4 1 4\n4 z 4\n", ":2: bad header token"),
         "late_header.txt": ("\n  \t\n# code\n\n4 1\n", ":5: header must be 'n size d'"),

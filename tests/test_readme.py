@@ -1,10 +1,14 @@
 """The examples in README.md run and print what README.md shows."""
 
+import re
 from pathlib import Path
 
 from permcodes.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+# a ```sh block of one permcodes command, then the ```text block it prints
+CLI_EXAMPLE = re.compile(r"```sh\npermcodes (.*?)\n```\n\n```text\n(.*?)```", re.DOTALL)
 
 
 def test_library_example_output(capsys):
@@ -18,9 +22,13 @@ def test_library_example_output(capsys):
     assert capsys.readouterr().out.splitlines() == want
 
 
-def test_compare_amds_example_output(capsys):
-    command = "permcodes compare --mode amds-vs-old --q 8,16 --alpha 2 --b 3/4"
-    section = README.read_text().split(f"```sh\n{command}\n```\n", 1)[1]
-    want = section.split("```text\n", 1)[1].split("```", 1)[0]
-    assert main(command.split()[1:]) == 0
-    assert capsys.readouterr().out == want
+def test_cli_examples_output(tmp_path, monkeypatch, capsys):
+    # one directory, in README order: verify reads the pc.txt construct writes
+    monkeypatch.chdir(tmp_path)
+    examples = CLI_EXAMPLE.findall(README.read_text())
+    assert [args.split()[0] for args, _ in examples] == [
+        "table", "construct", "verify", "compare", "compare", "field", "code-search"
+    ]
+    for args, want in examples:
+        assert main(args.replace("\\\n", " ").split()) == 0, args
+        assert capsys.readouterr().out == want, args
