@@ -52,6 +52,8 @@ from .verifier import read_permutation_code as read_permutation_code
 
 DEFAULT_SWEEP_BUDGET = 50_000
 DEFAULT_SUBGROUP_BUDGET = 100_000
+# a DP state's table is dense when its arrangements times this reach q^w
+DENSE_FACTOR = 16
 
 
 def identity_perm(n: int) -> Perm:
@@ -176,23 +178,40 @@ class SyndromeTable:
     * a state is the multiset of labels still to place, one count per
       residue class packed in mixed radix; with L labels left, the next
       position is n - L;
-    * ``tables[state]`` is a sparse {suffix syndrome: arrangements} dict,
-      the syndrome packed into one int: each GF(q) entry, q = p^m, is its m
-      base-p digits, each in a field of b = (p - 1).bit_length() + 1 bits,
-      entries big-endian and digits most significant first, so that
-      integer order is tuple order;
-    * two packed syndromes add field-wise mod p with a few big-int
-      operations and no per-digit loop (SIMD within a register): a field
-      sum is at most 2p - 2 < 2^b, so no carry crosses fields, and p is
-      taken back from exactly the fields that reach p (see _add_index);
+    * ``tables[state]`` counts the state's arrangements per suffix
+      syndrome, in one of two forms;
+    * a sparse table is a {packed syndrome: arrangements} dict, the syndrome
+      packed into one int: each GF(q) entry, q = p^m, is its m base-p
+      digits, each in a field of b = (p - 1).bit_length() + 1 bits, entries
+      big-endian and digits most significant first, so that integer order
+      is tuple order.  Two packed syndromes add field-wise mod p with a few
+      big-int operations and no per-digit loop (SIMD within a register): a
+      field sum is at most 2p - 2 < 2^b, so no carry crosses fields, and p
+      is taken back from exactly the fields that reach p (see _add_index);
+    * a dense table is one int of Q = q^w count fields, w the number of
+      check rows the DP keys on, each field F = coset_count.bit_length()
+      bits wide and indexed by the syndrome read in base q, that is by its
+      D = m * w base-p digits.  Adding a vector to every syndrome rotates
+      each block of p^(j+1) fields by digit j of the vector, one rotation
+      per nonzero digit (see _translate), and the tables of the moves add
+      with a plain +: every field stays at or below its state's arrangement
+      count, at most the coset count, so no carry crosses fields;
+    * a state goes dense when its arrangement count (the multinomial of
+      its labels left) times DENSE_FACTOR reaches Q, so a state whose
+      sparse table would be nearly full; a sparse table that a dense state
+      reads is converted once;
     * the shift v -> v + label * column_i is cached per (position, label),
-      for the indices the DP reaches only.
+      for the indices the DP reaches only, and its rotation masks are built
+      on first use.
 
-    A state holds no more entries than it has label suffixes, and no suffix
-    length has more of them than there are cosets, so the tables hold at
-    most 1 + n * (n! / |K|) entries, however large q^r is.  With ones_row the first
-    check row is skipped: its value is the label sum, the same for every
-    permutation, and it is prepended to every key of ``counts``.
+    A sparse state holds no more entries than it has label suffixes, and
+    no suffix length has more of them than there are cosets.  A dense state
+    holds Q fields, at most DENSE_FACTOR times its arrangement count, so the
+    tables hold at most DENSE_FACTOR * (1 + n * (n! / |K|)) entries and
+    fields however large q^w is, and none is dense when q^w exceeds
+    DENSE_FACTOR times the coset count.  With ones_row the first check row
+    is skipped: its value is the label sum, the same for every permutation,
+    and it is prepended to every key of ``counts``.
     """
 
     def __init__(self, check: MatrixGF, ones_row: bool) -> None:
@@ -221,33 +240,57 @@ class SyndromeTable:
         self._prefix = (label_sum,) if ones_row else ()
         self._shifts: dict[tuple[int, int], tuple[dict[int, int] | None, int]] = {}
         # per state, for representatives: (value, state after it, its table,
-        # map and index of -label * column_i) for each move, on first visit
+        # index of -label * column_i) for each move, on first visit
         self._plans: dict[int, list] = {}
 
         # (label, class values ascending, radix) per nonempty residue class
         classes = []
-        radix = 1
+        radix, coset_count = 1, math.factorial(n)
         for values in ResidueSubgroupSpec.for_params(n, q).residue_classes():
             classes.append((values[0] % q, values, radix))
             radix *= len(values) + 1
+            coset_count //= math.factorial(len(values))
+        self._fields = fields = q**self._width
+        self._field_bits = coset_count.bit_length()
+        self._offsets: dict[int, int] = {}  # packed syndrome -> dense field offset
+        self._digit_count = m * self._width
+        self._masks: dict[tuple[int, int], tuple[int, int]] = {}
+        # per packed vector: (up, low mask, down, high mask) per nonzero digit
+        self._rotations: dict[int, list[tuple[int, int, int, int]]] = {}
         # moves[state]: (smallest free value, label, radix) per class with
         # labels left, by value; tables[state] is built from the tables of
         # the states one move on, all of them smaller
         self._moves: list[list[tuple[int, int, int]]] = []
-        self.tables: list[dict[int, int]] = []
+        self.tables: list[dict[int, int] | int] = []
+        arrangements: list[int] = []  # per state: the arrangements of its labels left
+        converted: dict[int, int] = {}  # dense forms of sparse tables read by dense states
         add_index = self._add_index
         # one int object per distinct index: the tables hold up to n times
         # the coset count entries, but far fewer distinct syndromes
         canon: dict[int, int] = {}
         for state in range(radix):
-            moves, left = [], 0
+            moves, left, count = [], 0, 0
             for label, values, rad in classes:
                 rem = state // rad % (len(values) + 1)
                 if rem:
                     moves.append((values[len(values) - rem], label, rad))
                     left += rem
+                    count += arrangements[state - rad]
             moves.sort()
             self._moves.append(moves)
+            count = count or 1  # the empty multiset has one arrangement
+            arrangements.append(count)
+            if count * DENSE_FACTOR >= fields:
+                dense = 0 if state else 1
+                for _, label, rad in moves:
+                    child = self.tables[state - rad]
+                    if type(child) is dict:
+                        if state - rad not in converted:
+                            converted[state - rad] = self._to_dense(child)
+                        child = converted[state - rad]
+                    dense += self._translate(child, self._shift(n - left, label)[1])
+                self.tables.append(dense)
+                continue
             out: dict[int, int] = {} if state else {0: 1}
             get = out.get
             for _, label, rad in moves:
@@ -264,9 +307,19 @@ class SyndromeTable:
                         u = shift[v] = canon.setdefault(u, u)
                     out[u] = get(u, 0) + cnt
             self.tables.append(out)
-        self.counts: dict[tuple[int, ...], int] = {
-            self._prefix + self._digits(v): cnt for v, cnt in self.tables[-1].items()
-        }
+        last = self.tables[-1]
+        if type(last) is dict:
+            self.counts: dict[tuple[int, ...], int] = {
+                self._prefix + self._digits(v): cnt for v, cnt in last.items()
+            }
+        else:
+            self.counts = {
+                self._prefix + syndrome: cnt
+                for syndrome, cnt in zip(
+                    itertools.product(range(q), repeat=self._width), self._dense_fields(last)
+                )
+                if cnt
+            }
 
     def _shift(self, i: int, a: int) -> tuple[dict[int, int] | None, int]:
         """The cached map v -> v + a * column_i and the index of a * column_i;
@@ -300,6 +353,61 @@ class SyndromeTable:
             element[v >> bits * i & entry] for i in reversed(range(self._width))
         )
 
+    def _offset(self, v: int) -> int:
+        """The bit offset in a dense table of the field of packed syndrome v,
+        F times the syndrome read in base q."""
+        got = self._offsets.get(v)
+        if got is None:
+            q, index = len(self._spread), 0
+            for x in self._digits(v):
+                index = index * q + x
+            got = self._offsets[v] = index * self._field_bits
+        return got
+
+    def _to_dense(self, table: dict[int, int]) -> int:
+        """The dense form of a sparse table."""
+        offset = self._offset
+        return sum(cnt << offset(v) for v, cnt in table.items())
+
+    def _dense_fields(self, dense: int) -> list[int]:
+        """The Q fields of a dense table, by ascending index."""
+        bits = self._field_bits
+        text = format(dense, "b").zfill(self._fields * bits)
+        return [int(text[i - bits : i], 2) for i in range(len(text), 0, -bits)]
+
+    def _translate(self, dense: int, w: int) -> int:
+        """A dense table with packed vector w added to every field index: at
+        each nonzero digit a of w, digit j, the fields whose digit j is
+        below p - a move up by a * p^j fields and the others down by
+        (p - a) * p^j, within each block of p^(j+1) fields."""
+        rotations = self._rotations.get(w)
+        if rotations is None:
+            b, p, bits = self._top + 1, self._p, self._field_bits
+            rotations = self._rotations[w] = []
+            for j in range(self._digit_count):
+                a = w >> b * j & (1 << b) - 1
+                if a:
+                    low, high = self._rotation_masks(j, a)
+                    rotations.append((a * p**j * bits, low, (p - a) * p**j * bits, high))
+        for up, low, down, high in rotations:
+            dense = (dense & low) << up | (dense & high) >> down
+        return dense
+
+    def _rotation_masks(self, j: int, a: int) -> tuple[int, int]:
+        """The fields whose digit j is below p - a, and the others; built in
+        O(Q * F) bits, once."""
+        key = (j, a)
+        got = self._masks.get(key)
+        if got is None:
+            bits, p = self._field_bits, self._p
+            size = self._fields * bits
+            # most significant first: per block of p^(j+1) fields, a * p^j
+            # fields out, then the (p - a) * p^j fields of the low mask
+            block = "0" * (a * p**j * bits) + "1" * ((p - a) * p**j * bits)
+            low = int(block * (self._fields // p ** (j + 1)), 2)
+            got = self._masks[key] = (low, low ^ (1 << size) - 1)
+        return got
+
     def representatives(self, syndrome) -> list[Perm]:
         """The lexicographically first member of each coset with this
         syndrome, in lex order.
@@ -308,12 +416,14 @@ class SyndromeTable:
         classes tried by that value, and a branch is entered only when the
         table of the labels left still holds the rest of the syndrome: every
         branch ends in a representative, so the cost scales with the bucket.
+        A dense table is tested one field at a time, never unpacked.
         """
         syndrome = tuple(syndrome)
         if syndrome not in self.counts:
             return []
         need = self._pack(syndrome[len(self._prefix) :])
         tables, plans, add_index = self.tables, self._plans, self._add_index
+        offset, field = self._offset, (1 << self._field_bits) - 1
         reps: list[Perm] = []
         # (state, syndrome still needed, prefix), pushed in reverse move order
         stack = [(len(tables) - 1, need, ())]
@@ -323,16 +433,15 @@ class SyndromeTable:
             if plan is None:
                 i = len(prefix)
                 plan = plans[state] = [
-                    (value, state - rad, tables[state - rad], *self._shift(i, self._neg[label]))
+                    (value, state - rad, tables[state - rad], self._shift(i, self._neg[label])[1])
                     for value, label, rad in self._moves[state]
                 ]
-            for value, child, table, shift, w in reversed(plan):
-                rest = need
-                if shift is not None:
-                    rest = shift.get(need)
-                    if rest is None:
-                        rest = shift[need] = add_index(need, w)
-                if rest not in table:
+            for value, child, table, w in reversed(plan):
+                rest = add_index(need, w) if w else need
+                if type(table) is dict:
+                    if rest not in table:
+                        continue
+                elif not table >> offset(rest) & field:
                     continue
                 if child:
                     stack.append((child, rest, (*prefix, value)))

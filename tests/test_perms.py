@@ -14,6 +14,7 @@ import random
 import re
 import sys
 import time
+import tracemalloc
 import weakref
 
 import pytest
@@ -42,6 +43,7 @@ from permcodes.linear import (
 )
 from permcodes.mds import extended_rs, reed_solomon
 from permcodes.perms import (
+    DENSE_FACTOR,
     ConstructionCertificate,
     PermutationCode,
     ResidueSubgroupSpec,
@@ -344,7 +346,10 @@ def test_label_sum_is_constant_over_permutations():
         assert acc == want
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32])
+PACKING_QS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32]
+
+
+@pytest.mark.parametrize("q", PACKING_QS)
 def test_syndrome_packing_adds_field_wise(q):
     # the DP's packed syndromes against galoistools sums, for widths 1..6
     spec = field_make(q)
@@ -361,6 +366,28 @@ def test_syndrome_packing_adds_field_wise(q):
                 want = tuple(oracle_add(spec, a, b) for a, b in zip(x, y))
                 assert table._digits(total) == want, (q, x, y)
                 assert (table._pack(x) < table._pack(y)) == (x < y)
+
+
+@pytest.mark.parametrize("q", PACKING_QS)
+def test_dense_translation_adds_field_wise(q):
+    # translating a dense table by a moves the field of each x to x + a,
+    # with x + a from galoistools sums, for widths 1..4
+    spec = field_make(q)
+    rng = random.Random(q)
+    for width in range(1, 5):
+        check = MatrixGF(spec, [[rng.randrange(q) for _ in range(2)] for _ in range(width)])
+        table = SyndromeTable(check, ones_row=False)
+        vectors = {tuple(rng.randrange(q) for _ in range(width)) for _ in range(12)}
+        vectors |= {(0,) * width, (q - 1,) * width}
+        # 2 cosets of K in S_2: each field holds 2 bits
+        fields = {x: rng.randrange(1, 4) for x in vectors}
+        dense = table._to_dense({table._pack(x): c for x, c in fields.items()})
+        for a in sorted(vectors)[:3] + [(q - 1,) * width]:
+            moved = {
+                tuple(oracle_add(spec, s, t) for s, t in zip(x, a)): c for x, c in fields.items()
+            }
+            want = table._to_dense({table._pack(x): c for x, c in moved.items()})
+            assert table._translate(dense, table._pack(a)) == want, (q, width, a)
 
 
 def systematic_code(q, a_block, ones_in_dual):
@@ -398,9 +425,11 @@ def shape_code(n, q, ones_row):
     return systematic_code(q, a_block, ones_in_dual=True)
 
 
-def test_coset_representatives_match_the_lex_walk():
-    # per syndrome, the DP's coset count and the DFS's representatives equal
-    # the buckets of a lex walk of S_n, for every shape n <= 8, q <= n + 1
+def _check_against_the_lex_walk():
+    """Per syndrome, the DP's coset count and the DFS's representatives
+    equal the buckets of a lex walk of S_n, for every shape n <= 8,
+    q <= n + 1; returns every table built."""
+    built = []
     for n, q in itertools.product(range(2, 9), range(2, 10)):
         if q > n + 1 or not is_prime_power(q):
             continue
@@ -418,6 +447,21 @@ def test_coset_representatives_match_the_lex_walk():
             if ones_row:
                 assert table.check.rows[0] == (1,) * n
                 assert {syn[0] for syn in counts} == {oracle_label_sum(n, code.spec)}
+            built.extend(table.tables)
+    return built
+
+
+def test_coset_representatives_match_the_lex_walk():
+    tables = _check_against_the_lex_walk()
+    # at the default threshold both forms occur
+    assert {type(t) for t in tables} == {dict, int}
+
+
+@pytest.mark.parametrize("factor,form", [(0, dict), (math.inf, int)], ids=["sparse", "dense"])
+def test_lex_walk_holds_in_either_table_form(monkeypatch, factor, form):
+    # the threshold forced so that every state is sparse, or every one dense
+    monkeypatch.setattr("permcodes.perms.DENSE_FACTOR", factor)
+    assert {type(t) for t in _check_against_the_lex_walk()} == {form}
 
 
 def test_coset_representatives_cover_everything():
@@ -473,9 +517,29 @@ def test_syndrome_table_stays_sparse(make, ones_row):
     syn, members = oracle_largest_bucket(gamma, check, n, q)
     assert cert.syndrome == syn
     assert list(pc.members) == members
-    # each entry is a distinct label suffix; a dense table has q^r per state
+    # each entry is a distinct label suffix; a dense table counts as its
+    # q^w fields, built only where they are at most DENSE_FACTOR times its
+    # suffixes
     _, table = syndrome_buckets(code, ones_row)
-    assert sum(len(t) for t in table.tables) <= n * cert.coset_count
+    fields = q ** (check.nrows - ones_row)
+    assert sum(len(t) if type(t) is dict else fields for t in table.tables) <= n * cert.coset_count
+    if fields > DENSE_FACTOR * cert.coset_count:  # low-rate: 7^6 > 16 * 5,040
+        assert all(type(t) is dict for t in table.tables)
+
+
+def test_syndrome_buckets_memory_on_the_construct_sweep_shape():
+    # the construct-sweep shape [9,5]_9: dense tables of 729 19-bit fields
+    # in place of nearly full dicts (about 5.5 MB of them)
+    code = reed_solomon(9, 9, 5)
+    code = normalize_first_row_ones(code, find_full_weight_dual_codeword(code, seed=1))
+    tracemalloc.start()
+    try:
+        counts, table = syndrome_buckets(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(counts.values()) == math.factorial(9)
+    assert peak < 2_000_000, peak
 
 
 @settings(max_examples=60, deadline=None)
