@@ -1,9 +1,10 @@
 """Command line front end.
 
 Subcommands: table, construct, verify, compare, field, code-search.
-A command imports the modules it uses where it runs them, after argparse,
-and decimal and fractions only where it formats or parses a fraction.  So no
-process compiles a module it never calls, and a usage error loads none.
+A command imports the modules it uses where it runs them, after argparse and
+after every usage error that depends on flags alone, and decimal and fractions
+only where it formats or parses a fraction.  So no process compiles a module
+it never calls, and a usage error that flags alone decide loads none.
 Exit codes: 0 success, 1 usage or malformed input, 2 infeasible parameters
 or empty search, 3 verification failure, 4 budget exceeded; each error class
 carries its own code and stderr label.  A command writes its files before
@@ -134,70 +135,37 @@ def cmd_table(args) -> int:
 # construct
 
 
-def _load_construct_code(args):
-    from . import linear, mds
-
-    if args.source == "rs":
-        if args.q is None or args.n is None or args.k is None:
-            raise _UsageError("--source rs needs --q, --n and --k")
-        return mds.reed_solomon(args.q, args.n, args.k)
+def cmd_construct(args) -> int:
+    if args.source == "rs" and (args.q is None or args.n is None or args.k is None):
+        raise _UsageError("--source rs needs --q, --n and --k")
     if args.source == "xrs":
         if args.q is None or args.k is None:
             raise _UsageError("--source xrs needs --q and --k")
         if args.n is not None and args.n != args.q + 1:
             raise _UsageError(f"--source xrs has n = q+1 = {args.q + 1}")
-        return mds.extended_rs(args.q, args.k)
-    if args.code_file is None:
+    if args.source == "file" and args.code_file is None:
         raise _UsageError("--source file needs --code-file")
-    code = linear.read_code_file(args.code_file)
-    for name, given, actual in (
-        ("--n", args.n, code.n),
-        ("--k", args.k, code.k),
-        ("--q", args.q, code.spec.q),
-    ):
-        if given is not None and given != actual:
-            raise _UsageError(f"{name} {given} contradicts the file ({actual})")
-    return code
-
-
-def cmd_construct(args) -> int:
-    from . import linear, perms
-
-    budget = _budget(args)
-    code = _load_construct_code(args)
-    dm = linear.min_distance(code, **budget)
-    if dm < args.d:
-        raise ParameterError(f"code has distance {dm}, below requested {args.d}")
-
     if args.ones_row and args.seed is None:
         raise _UsageError("--seed is required (full-weight dual search)")
-    # Gamma' (n, q and d only) comes before the dual search: its hint is no dead end
-    kspec = perms.ResidueSubgroupSpec.for_params(code.n, code.spec.q)
-    if args.gamma == "identity":
-        gamma = perms.PermutationCode(code.n, [perms.identity_perm(code.n)])
-    elif args.gamma == "exact":
-        gamma = perms.max_code_in_K(kspec, dm, mode="exact")
-    elif args.gamma == "greedy":
-        if args.seed is None:
-            raise _UsageError("--gamma greedy requires --seed")
-        gamma = perms.max_code_in_K(kspec, dm, mode="greedy", seed=args.seed)
-    else:
-        gamma, _ = perms.lift_code_into_K(kspec, dm)
+    if args.gamma == "greedy" and args.seed is None:
+        raise _UsageError("--gamma greedy requires --seed")
+    from . import linear, mds, perms
 
-    if args.ones_row:
-        w = linear.find_full_weight_dual_codeword(code, args.seed, **budget)
-        if w is None:
-            raise ParameterError("no full-weight dual codeword found; try --no-ones-row")
-        work = linear.normalize_first_row_ones(code, w)
+    if args.source == "rs":
+        code = mds.reed_solomon(args.q, args.n, args.k)
+    elif args.source == "xrs":
+        code = mds.extended_rs(args.q, args.k)
     else:
-        work = code
-
-    pc, cert = perms.construct_permutation_code(
-        work,
-        gamma.members,
-        assume_ones_row=args.ones_row,
-        seed=args.seed,
-        **budget,
+        code = linear.read_code_file(args.code_file)
+        for name, given, actual in (
+            ("--n", args.n, code.n),
+            ("--k", args.k, code.k),
+            ("--q", args.q, code.spec.q),
+        ):
+            if given is not None and given != actual:
+                raise _UsageError(f"{name} {given} contradicts the file ({actual})")
+    pc, cert, work = perms.construct(
+        code, args.d, args.gamma, args.ones_row, args.seed, args.budget
     )
     if args.out:
         perms.write_permutation_code(pc, args.out, distance=cert.verified_distance)

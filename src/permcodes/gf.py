@@ -79,25 +79,17 @@ def next_prime_power(n: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Polynomial helpers over GF(p).  Polynomials are tuples of coefficients in
-# 0..p-1, constant term first, with no trailing zeros (() is the zero poly).
-
-
-def _pstrip(c: tuple[int, ...]) -> tuple[int, ...]:
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return c[:i]
+# 0..p-1, constant term first; _pmod strips trailing zeros, so its remainders
+# have none (() is the zero poly), and _pmul's products may keep some.
 
 
 def _pmul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 out[i + j] = (out[i + j] + x * y) % p
-    return _pstrip(tuple(out))
+    return tuple(out)
 
 
 def _pmod(a: tuple[int, ...], mod: tuple[int, ...], p: int) -> tuple[int, ...]:

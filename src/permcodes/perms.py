@@ -36,7 +36,9 @@ from .errors import BudgetExceeded, ParameterError, VerificationFailed
 from .linear import (
     LinearCode,
     MatrixGF,
+    find_full_weight_dual_codeword,
     min_distance,
+    normalize_first_row_ones,
     parity_check,
     parity_check_with_ones_row,
 )
@@ -243,15 +245,15 @@ class SyndromeTable:
         # index of -label * column_i) for each move, on first visit
         self._plans: dict[int, list] = {}
 
+        kspec = ResidueSubgroupSpec.for_params(n, q)
         # (label, class values ascending, radix) per nonempty residue class
         classes = []
-        radix, coset_count = 1, math.factorial(n)
-        for values in ResidueSubgroupSpec.for_params(n, q).residue_classes():
+        radix = 1
+        for values in kspec.residue_classes():
             classes.append((values[0] % q, values, radix))
             radix *= len(values) + 1
-            coset_count //= math.factorial(len(values))
         self._fields = fields = q**self._width
-        self._field_bits = coset_count.bit_length()
+        self._field_bits = (math.factorial(n) // kspec.order).bit_length()
         self._offsets: dict[int, int] = {}  # packed syndrome -> dense field offset
         self._digit_count = m * self._width
         self._masks: dict[tuple[int, int], tuple[int, int]] = {}
@@ -567,6 +569,44 @@ def construct_permutation_code(
     return pc, cert
 
 
+def construct(
+    code: LinearCode,
+    d: int,
+    gamma: str = "exact",
+    ones_row: bool = True,
+    seed: int | None = None,
+    budget: int | None = None,
+) -> tuple[PermutationCode, ConstructionCertificate, LinearCode]:
+    """The whole recipe: check the code's distance against d, build gamma' in
+    K (identity, exact, greedy or lift), with ones_row rescale the code by a
+    seeded full-weight dual word, and keep the largest bucket.  Returns the
+    permutation code, its certificate and the code it was bucketed under;
+    budget None keeps each gated step's own default."""
+    if ones_row and seed is None:
+        raise ParameterError("the full-weight dual search needs a seed")
+    limit = {} if budget is None else {"budget": budget}
+    dm = min_distance(code, **limit)
+    if dm < d:
+        raise ParameterError(f"code has distance {dm}, below requested {d}")
+    # gamma' (n, q and d only) comes before the dual search: its hint is no dead end
+    kspec = ResidueSubgroupSpec.for_params(code.n, code.spec.q)
+    if gamma == "identity":
+        gamma_prime = [identity_perm(code.n)]
+    elif gamma == "lift":
+        gamma_prime, _ = lift_code_into_K(kspec, dm)
+    else:
+        gamma_prime = max_code_in_K(kspec, dm, mode=gamma, seed=seed)
+    if ones_row:
+        w = find_full_weight_dual_codeword(code, seed, **limit)
+        if w is None:
+            raise ParameterError("no full-weight dual codeword found; try --no-ones-row")
+        code = normalize_first_row_ones(code, w)
+    pc, cert = construct_permutation_code(
+        code, gamma_prime, assume_ones_row=ones_row, seed=seed, **limit
+    )
+    return pc, cert, code
+
+
 # ---------------------------------------------------------------------------
 # The largest code inside K
 
@@ -582,6 +622,8 @@ def max_code_in_K(
     Exact mode pins the identity (K is a group, so translation loses nothing)
     and runs branch-and-bound clique search; greedy mode runs one seeded pass.
     """
+    if mode not in ("exact", "greedy"):
+        raise ParameterError(f"unknown mode {mode!r}")
     # refuse from |K| alone, without enumerating K
     if mode == "exact" and spec.order > MAX_CLIQUE_VERTICES:
         raise BudgetExceeded(f"|K| = {spec.order} is too large for exact clique search")
@@ -592,7 +634,7 @@ def max_code_in_K(
         neigh = _distance_graph(cands, d)
         clique = _max_clique(neigh)
         chosen = [ident] + [cands[v] for v in clique]
-    elif mode == "greedy":
+    else:
         if seed is None:
             raise ParameterError("greedy mode requires a seed")
         order = list(range(len(members)))
@@ -608,8 +650,6 @@ def max_code_in_K(
                 chosen.append(members[idx])
                 for mask, seen in index:
                     seen.add(p & mask)
-    else:
-        raise ParameterError(f"unknown mode {mode!r}")
     pc = PermutationCode(spec.n, chosen)
     dist = code_min_distance(pc, d)
     if dist < d:

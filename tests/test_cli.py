@@ -180,6 +180,17 @@ def test_construct_needs_seed_for_ones_row(capsys):
     assert got == (1, "", "usage error: --seed is required (full-weight dual search)\n")
 
 
+def test_construct_flag_usage_error_comes_before_the_distance_check(capsys):
+    # the [6,4,3]_7 code is below --d 5, but the missing --seed is decided
+    # by the flags alone, before the code is built
+    got = run(capsys, "construct", "--d", "5", "--q", "7", "--n", "6", "--k", "4",
+              "--source", "rs")
+    assert got == (1, "", "usage error: --seed is required (full-weight dual search)\n")
+    got = run(capsys, "construct", "--d", "5", "--q", "7", "--n", "6", "--k", "4",
+              "--source", "rs", "--gamma", "greedy", "--no-ones-row")
+    assert got == (1, "", "usage error: --gamma greedy requires --seed\n")
+
+
 def test_construct_exits_3_when_the_bucket_check_fails(tmp_path, capsys, monkeypatch):
     # the bucket's distance check reads d - 1, while the one-row gamma' of
     # --gamma identity still reads inf: only the bucket check fails

@@ -8,7 +8,8 @@ fails here.  A nested function that calls itself holds its own cell, a
 reference cycle that keeps everything it closes over alive until the cyclic
 collector runs, so the function around it must ``del`` it in a ``finally``.
 ``import permcodes`` loads no submodule, each CLI command
-loads only the modules it runs, and a usage error loads none of them.
+loads only the modules it runs, and a usage error loads none of them.  The
+construction's steps run only inside ``perms.construct``: ``cli`` calls none.
 """
 
 import ast
@@ -257,12 +258,56 @@ def test_cli_command_loads_only_its_modules(tmp_path, command):
     assert not UNLOADED.get(command, set()) & set(loaded)
 
 
+# argv -> its stderr: argparse rejects --d x before any command runs, and
+# construct raises the usage errors that its flags alone decide before it
+# imports anything
+USAGE_ERRORS = {
+    "construct --d x --source rs": "usage error: argument --d: invalid int value: 'x'\n",
+    "construct --source rs --q 7 --n 6 --k 4 --d 3":
+        "usage error: --seed is required (full-weight dual search)\n",
+    "construct --source rs --q 7 --n 6 --k 4 --d 3 --gamma greedy --no-ones-row":
+        "usage error: --gamma greedy requires --seed\n",
+    "construct --d 3 --source rs --q 7 --n 6 --seed 1":
+        "usage error: --source rs needs --q, --n and --k\n",
+    "construct --d 3 --source file --seed 1": "usage error: --source file needs --code-file\n",
+}
+
+
 def test_cli_usage_error_loads_no_command_module(tmp_path):
-    # argparse rejects --d x before any command runs, so nothing it would run loads
     record = tmp_path / "modules.txt"
-    argv = ["construct", "--d", "x", "--source", "rs"]
-    done = _python(["-S", "-c", RECORDER.format(path=str(record)), *argv], tmp_path)
-    assert done.returncode == 1
-    assert done.stderr.startswith("usage error: argument --d: invalid int value")
-    loaded = record.read_text().split("\n")
-    assert [m for m in loaded if m.startswith("permcodes")] == ["permcodes", "permcodes.errors"]
+    for argv, stderr in USAGE_ERRORS.items():
+        done = _python(["-S", "-c", RECORDER.format(path=str(record)), *argv.split()], tmp_path)
+        assert (done.returncode, done.stderr) == (1, stderr), argv
+        loaded = record.read_text().split("\n")
+        assert [m for m in loaded if m.startswith("permcodes")] == [
+            "permcodes", "permcodes.errors"
+        ], argv
+
+
+# the construction's steps, which cli reaches only through perms.construct
+RECIPE_STEPS = {
+    "min_distance", "find_full_weight_dual_codeword", "normalize_first_row_ones",
+    "max_code_in_K", "lift_code_into_K", "identity_perm", "construct_permutation_code",
+}
+
+
+def _recipe_calls(source: str) -> list[str]:
+    """The recipe steps that source calls, by name or as an attribute."""
+    called = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in RECIPE_STEPS:
+                called.append(f"line {node.lineno}: {name}")
+    return called
+
+
+def test_the_check_sees_a_recipe_step():
+    source = "from . import linear\nfrom .perms import identity_perm\n" \
+             "linear.min_distance(c)\nidentity_perm(6)\nperms.construct(c, 3)\n"
+    assert _recipe_calls(source) == ["line 3: min_distance", "line 4: identity_perm"]
+
+
+def test_cli_holds_no_construction_step():
+    assert _recipe_calls((PACKAGE / "cli.py").read_text()) == []

@@ -51,6 +51,7 @@ from permcodes.perms import (
     binary_lift,
     code_min_distance,
     compose,
+    construct,
     construct_permutation_code,
     identity_perm,
     involution_pairs,
@@ -890,9 +891,11 @@ def build_fixture_a():
 
 
 def test_construct_fixture_and_certificate():
-    work = build_fixture_a()
-    gamma = [identity_perm(6)]
-    pc, cert = construct_permutation_code(work, gamma, assume_ones_row=True, seed=7)
+    # the whole recipe takes the steps that build_fixture_a takes by hand
+    pc, cert, work = construct(reed_solomon(7, 6, 4), 3, gamma="identity", seed=7)
+    assert work.generator.rows == build_fixture_a().generator.rows
+    by_hand, by_hand_cert = construct_permutation_code(work, [identity_perm(6)], seed=7)
+    assert (by_hand.members, by_hand_cert) == (pc.members, cert)
     assert cert.guaranteed_floor == 103  # ceil(720 / 7)
     assert pc.size >= 103
     assert cert.bucket_size == pc.size
