@@ -29,8 +29,8 @@ _EXPORTS = {
     "mds": "extended_rs reed_solomon",
     "perms": """ConstructionCertificate PermutationCode ResidueSubgroupSpec
         binary_lift compose construct construct_permutation_code identity_perm
-        involution_pairs lift_code_into_K max_code_in_K perm_hamming
-        subgroup_K syndrome_buckets write_permutation_code""",
+        lift_code_into_K max_code_in_K perm_hamming subgroup_K syndrome_buckets
+        write_permutation_code""",
     "verifier": "code_min_distance read_permutation_code",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -204,7 +204,10 @@ class SyndromeTable:
       reads is converted once;
     * the shift v -> v + label * column_i is cached per (position, label),
       for the indices the DP reaches only, and its rotation masks are built
-      on first use.
+      on first use;
+    * each move is recorded once, by the DP: the value it places, the state
+      after it and the packed -label * column_i, the shift that the listing
+      adds to the syndrome still needed.
 
     A sparse state holds no more entries than it has label suffixes, and
     no suffix length has more of them than there are cosets.  A dense state
@@ -219,7 +222,7 @@ class SyndromeTable:
     def __init__(self, check: MatrixGF, ones_row: bool) -> None:
         spec = check.spec
         q, n = spec.q, check.ncols
-        add, self._mul, self._neg, _ = spec.tables()
+        add, self._mul, neg, _ = spec.tables()
         self.check = check
         rows = check.rows[1:] if ones_row else check.rows
         self._columns = [tuple(row[i] for row in rows) for i in range(n)]
@@ -240,10 +243,7 @@ class SyndromeTable:
         for v in range(1, n + 1):
             label_sum = add[label_sum][v % q]
         self._prefix = (label_sum,) if ones_row else ()
-        self._shifts: dict[tuple[int, int], tuple[dict[int, int] | None, int]] = {}
-        # per state, for representatives: (value, state after it, its table,
-        # index of -label * column_i) for each move, on first visit
-        self._plans: dict[int, list] = {}
+        self._shifts: dict[tuple[int, int], tuple[dict[int, int], int]] = {}
 
         kspec = ResidueSubgroupSpec.for_params(n, q)
         # (label, class values ascending, radix) per nonempty residue class
@@ -259,9 +259,10 @@ class SyndromeTable:
         self._masks: dict[tuple[int, int], tuple[int, int]] = {}
         # per packed vector: (up, low mask, down, high mask) per nonzero digit
         self._rotations: dict[int, list[tuple[int, int, int, int]]] = {}
-        # moves[state]: (smallest free value, label, radix) per class with
-        # labels left, by value; tables[state] is built from the tables of
-        # the states one move on, all of them smaller
+        # moves[state]: (smallest free value, state after it, index of
+        # -label * column_i) per class with labels left, by value;
+        # tables[state] is built from the tables of the states one move on,
+        # all of them smaller
         self._moves: list[list[tuple[int, int, int]]] = []
         self.tables: list[dict[int, int] | int] = []
         arrangements: list[int] = []  # per state: the arrangements of its labels left
@@ -275,34 +276,32 @@ class SyndromeTable:
             for label, values, rad in classes:
                 rem = state // rad % (len(values) + 1)
                 if rem:
-                    moves.append((values[len(values) - rem], label, rad))
+                    moves.append((values[len(values) - rem], state - rad, label))
                     left += rem
                     count += arrangements[state - rad]
             moves.sort()
-            self._moves.append(moves)
+            i = n - left
+            self._moves.append(
+                [(value, after, self._shift(i, neg[label])[1]) for value, after, label in moves]
+            )
             count = count or 1  # the empty multiset has one arrangement
             arrangements.append(count)
             if count * DENSE_FACTOR >= fields:
                 dense = 0 if state else 1
-                for _, label, rad in moves:
-                    child = self.tables[state - rad]
+                for _, after, label in moves:
+                    child = self.tables[after]
                     if type(child) is dict:
-                        if state - rad not in converted:
-                            converted[state - rad] = self._to_dense(child)
-                        child = converted[state - rad]
-                    dense += self._translate(child, self._shift(n - left, label)[1])
+                        if after not in converted:
+                            converted[after] = self._to_dense(child)
+                        child = converted[after]
+                    dense += self._translate(child, self._shift(i, label)[1])
                 self.tables.append(dense)
                 continue
             out: dict[int, int] = {} if state else {0: 1}
             get = out.get
-            for _, label, rad in moves:
-                child = self.tables[state - rad]
-                shift, w = self._shift(n - left, label)
-                if shift is None:
-                    for v, cnt in child.items():
-                        out[v] = get(v, 0) + cnt
-                    continue
-                for v, cnt in child.items():
+            for _, after, label in moves:
+                shift, w = self._shift(i, label)
+                for v, cnt in self.tables[after].items():
                     u = shift.get(v)
                     if u is None:
                         u = add_index(v, w)
@@ -323,15 +322,13 @@ class SyndromeTable:
                 if cnt
             }
 
-    def _shift(self, i: int, a: int) -> tuple[dict[int, int] | None, int]:
-        """The cached map v -> v + a * column_i and the index of a * column_i;
-        the map is None when that vector is zero."""
+    def _shift(self, i: int, a: int) -> tuple[dict[int, int], int]:
+        """The cached map v -> v + a * column_i and the index of a * column_i."""
         key = (i, a)
         got = self._shifts.get(key)
         if got is None:
             mul = self._mul[a]
-            w = self._pack(mul[h] for h in self._columns[i])
-            got = self._shifts[key] = ({} if w else None, w)
+            got = self._shifts[key] = ({}, self._pack(mul[h] for h in self._columns[i]))
         return got
 
     def _pack(self, vector) -> int:
@@ -424,22 +421,16 @@ class SyndromeTable:
         if syndrome not in self.counts:
             return []
         need = self._pack(syndrome[len(self._prefix) :])
-        tables, plans, add_index = self.tables, self._plans, self._add_index
+        tables, moves, add_index = self.tables, self._moves, self._add_index
         offset, field = self._offset, (1 << self._field_bits) - 1
         reps: list[Perm] = []
         # (state, syndrome still needed, prefix), pushed in reverse move order
         stack = [(len(tables) - 1, need, ())]
         while stack:
             state, need, prefix = stack.pop()
-            plan = plans.get(state)
-            if plan is None:
-                i = len(prefix)
-                plan = plans[state] = [
-                    (value, state - rad, tables[state - rad], self._shift(i, self._neg[label])[1])
-                    for value, label, rad in self._moves[state]
-                ]
-            for value, child, table, w in reversed(plan):
-                rest = add_index(need, w) if w else need
+            for value, child, w in reversed(moves[state]):
+                rest = add_index(need, w)
+                table = tables[child]
                 if type(table) is dict:
                     if rest not in table:
                         continue
@@ -523,7 +514,7 @@ def construct_permutation_code(
     factor of q and raises the pigeonhole floor accordingly.
     """
     n, q, k = code.n, code.spec.q, code.k
-    d = code.d if code.d is not None else min_distance(code)
+    d = min_distance(code)
     members = [tuple(g) for g in gamma_prime]
     if not members:
         raise ParameterError("gamma_prime must be nonempty")
@@ -599,7 +590,9 @@ def construct(
     if ones_row:
         w = find_full_weight_dual_codeword(code, seed, **limit)
         if w is None:
-            raise ParameterError("no full-weight dual codeword found; try --no-ones-row")
+            raise ParameterError(
+                "no full-weight dual codeword found; construct without the ones row"
+            )
         code = normalize_first_row_ones(code, w)
     pc, cert = construct_permutation_code(
         code, gamma_prime, assume_ones_row=ones_row, seed=seed, **limit
@@ -661,22 +654,6 @@ def max_code_in_K(
 # The involution lift
 
 
-def involution_pairs(spec: ResidueSubgroupSpec) -> tuple[tuple[int, int], ...]:
-    """The 2-element orbits of a subgroup shaped like (S_2)^r.
-
-    Raises ParameterError when any orbit has more than two elements.
-    """
-    pairs = []
-    for cls in spec.residue_classes():
-        if len(cls) > 2:
-            raise ParameterError(
-                f"class {cls} has size {len(cls)}; subgroup is not (S_2)^r"
-            )
-        if len(cls) == 2:
-            pairs.append((cls[0], cls[1]))
-    return tuple(sorted(pairs))
-
-
 def binary_lift(bits, n: int, pairs) -> Perm:
     """Lift a bit vector to a product of disjoint transpositions of 1..n.
 
@@ -710,8 +687,15 @@ def lift_code_into_K(
     Computes A_2(r, ceil(d/2)) exactly and lifts its witness onto the actual
     2-element orbits of K, so the result genuinely lives inside K with
     permutation distance >= 2*ceil(d/2) >= d.  Returns (code, binary size).
+    Raises ParameterError when any orbit of K has more than two elements.
     """
-    pairs = involution_pairs(spec)
+    pairs = []
+    for cls in spec.residue_classes():
+        if len(cls) > 2:
+            raise ParameterError(f"class {cls} has size {len(cls)}; subgroup is not (S_2)^r")
+        if len(cls) == 2:
+            pairs.append(cls)
+    pairs.sort()
     r = len(pairs)
     if r == 0:
         return PermutationCode(spec.n, [identity_perm(spec.n)]), 1

@@ -260,14 +260,14 @@ def test_construct_finds_the_ones_word_of_a_long_repetition_code(tmp_path, capsy
         ("exact", 4, "budget exceeded: |K| = 14631321600 is too large for exact "
                      "clique search\n"),
         ("identity", 2, "infeasible: no full-weight dual codeword found; "
-                        "try --no-ones-row\n"),
+                        "construct without the ones row\n"),
     ],
     ids=["lift", "greedy", "exact", "identity"],
 )
 def test_construct_builds_gamma_before_the_dual_search(tmp_path, capsys, gamma, rc, err):
     # the all-ones word is the only full-weight candidate over GF(2), and 17
     # ones sum to 1, so no dual word works; every mode but identity fails on
-    # n, q and d alone, and says so instead of hinting at --no-ones-row
+    # n, q and d alone, and says so instead of pointing at the ones row
     p = tmp_path / "rep.txt"
     p.write_text("2 17 1\n" + " ".join(["1"] * 17) + "\n")
     got = run(capsys, "construct", "--source", "file", "--code-file", str(p),

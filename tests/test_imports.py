@@ -4,9 +4,12 @@ Every name a module of the package imports is used in it: neither pyflakes
 nor ruff is a dependency, so this is the unused-import lint, and an import
 left behind by a refactor fails here.  Likewise every private module-level
 name is used somewhere in the package, so a helper that a move leaves behind
-fails here.  A nested function that calls itself holds its own cell, a
-reference cycle that keeps everything it closes over alive until the cyclic
-collector runs, so the function around it must ``del`` it in a ``finally``.
+fails here, and every private attribute a class assigns to self is read, by
+the class or on another object anywhere in the package, so a cache that a
+refactor leaves behind fails here.  A nested function that calls itself
+holds its own cell, a reference cycle that keeps everything it closes over
+alive until the cyclic collector runs, so the function around it must
+``del`` it in a ``finally``.
 ``import permcodes`` loads no submodule, each CLI command
 loads only the modules it runs, and a usage error loads none of them.  The
 construction's steps run only inside ``perms.construct``: ``cli`` calls none.
@@ -109,6 +112,58 @@ def test_the_check_sees_an_unused_private_name():
 def test_package_uses_every_private_name():
     sources = {path.name: path.read_text() for path in MODULES}
     assert _unused_private_names(sources) == []
+
+
+def _on_self(node) -> bool:
+    return isinstance(node.value, ast.Name) and node.value.id == "self"
+
+
+def _unread_private_attributes(sources: dict[str, str]) -> list[str]:
+    """The private attributes (self._x, not dunders) that a class assigns
+    and reads neither through self nor, in any module, on another object;
+    each by its first assignment."""
+    classes, foreign = [], set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                classes.append((module, node))
+            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                if not _on_self(node):
+                    foreign.add(node.attr)
+    unread = []
+    for module, cls in classes:
+        own, assigned = set(), {}
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Attribute) and _on_self(node):
+                if isinstance(node.ctx, ast.Store):
+                    assigned.setdefault(node.attr, node.lineno)
+                else:
+                    own.add(node.attr)
+        unread += [
+            f"{module}:{line}: {cls.name}.{name}"
+            for name, line in assigned.items()
+            if name.startswith("_") and not name.endswith("__") and name not in own | foreign
+        ]
+    return unread
+
+
+def test_the_check_sees_an_unread_private_attribute():
+    sources = {
+        "a": "class A:\n    def __init__(self):\n        self._cache = {}\n"
+             "        self._kept, self.public = 1, 2\n        self._count = 0\n"
+             "        self._count += 1\n        self._table = self.__dict__ = {}\n",
+        # B reads its own _table; that reads none of A's
+        "b": "class B:\n    def __init__(self):\n        self._table = {}\n\n"
+             "    def get(self, a):\n        return self._table, a._kept\n",
+    }
+    assert _unread_private_attributes(sources) == [
+        "a:3: A._cache", "a:5: A._count", "a:7: A._table"
+    ]
+
+
+def test_package_reads_every_private_attribute():
+    sources = {path.name: path.read_text() for path in MODULES}
+    assert _unread_private_attributes(sources) == []
 
 
 def _recursive_closures(source: str) -> dict[str, bool]:

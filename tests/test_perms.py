@@ -26,6 +26,10 @@ from permcodes.bounds import (
     _binary_clique,
     _distance_graph,
     _max_clique,
+    amds_lower,
+    envelope_new_old,
+    general_firstbound,
+    hamming_ball_size,
     max_binary_code,
     singleton_like_upper,
 )
@@ -54,7 +58,6 @@ from permcodes.perms import (
     construct,
     construct_permutation_code,
     identity_perm,
-    involution_pairs,
     lift_code_into_K,
     max_code_in_K,
     perm_hamming,
@@ -360,8 +363,10 @@ def test_syndrome_packing_adds_field_wise(q):
         table = SyndromeTable(check, ones_row=False)
         vectors = [tuple(rng.randrange(q) for _ in range(width)) for _ in range(40)]
         vectors += [(0,) * width, (q - 1,) * width]
+        zero = table._pack((0,) * width)
         for x in vectors:
             assert table._digits(table._pack(x)) == x
+            assert table._add_index(table._pack(x), zero) == table._pack(x)
             for y in vectors[:8]:
                 total = table._add_index(table._pack(x), table._pack(y))
                 want = tuple(oracle_add(spec, a, b) for a, b in zip(x, y))
@@ -463,6 +468,25 @@ def test_lex_walk_holds_in_either_table_form(monkeypatch, factor, form):
     # the threshold forced so that every state is sparse, or every one dense
     monkeypatch.setattr("permcodes.perms.DENSE_FACTOR", factor)
     assert {type(t) for t in _check_against_the_lex_walk()} == {form}
+
+
+@pytest.mark.parametrize("q", [3, 4])
+@pytest.mark.parametrize("factor,form", [(0, dict), (math.inf, int)], ids=["sparse", "dense"])
+def test_zero_shift_takes_the_general_path(monkeypatch, q, factor, form):
+    # column 3 is zero, so each of its labels shifts by the zero vector, and
+    # with n >= q label 0 does at every position; both add w like any move
+    monkeypatch.setattr("permcodes.perms.DENSE_FACTOR", factor)
+    n = 6
+    check = MatrixGF(field_make(q), [[1, 2, 0, 1, 1, 2], [0, 1, 0, 2, 1, 1]])
+    table = SyndromeTable(check, ones_row=False)
+    assert {type(t) for t in table.tables} == {form}
+    assert 0 in {w for moves in table._moves for _, _, w in moves}
+    want = {}
+    for rep in oracle_coset_representatives(n, q):
+        want.setdefault(oracle_syndrome(rep, check), []).append(rep)
+    assert table.counts == {syn: len(reps) for syn, reps in want.items()}
+    for syn, reps in want.items():
+        assert table.representatives(syn) == reps, (q, syn)
 
 
 def test_coset_representatives_cover_everything():
@@ -708,12 +732,15 @@ def test_binary_lift_validation():
         binary_lift((2,), 2, ((1, 2),))  # not a bit
 
 
-def test_involution_pairs():
-    spec = ResidueSubgroupSpec.for_params(6, 3)  # classes {1,4},{2,5},{3,6}
-    assert involution_pairs(spec) == ((1, 4), (2, 5), (3, 6))
+def test_lift_pairs_the_residue_classes():
+    # classes {1,4},{2,5},{3,6}: A_2(3, 3) = 2 lifts to the identity and all
+    # three transpositions at once
+    pc, binary_size = lift_code_into_K(ResidueSubgroupSpec.for_params(6, 3), 6)
+    assert binary_size == 2
+    assert pc.members == ((1, 2, 3, 4, 5, 6), (4, 5, 6, 1, 2, 3))
     message = re.escape("class (1, 4, 7) has size 3; subgroup is not (S_2)^r")
     with pytest.raises(ParameterError, match=f"^{message}$"):
-        involution_pairs(ResidueSubgroupSpec.for_params(7, 3))
+        lift_code_into_K(ResidueSubgroupSpec.for_params(7, 3), 6)
 
 
 def test_lift_code_into_K():
@@ -1074,3 +1101,43 @@ def test_read_permutation_code_keeps_duplicates(tmp_path):
     p.write_text("3 2 3\n1 2 3\n1 2 3\n")
     n, size, d, rows = read_permutation_code(p)
     assert len(rows) == 2  # verifier, not parser, flags the duplicate
+
+
+# ---------------------------------------------------------------------------
+# input guards of the library entry points
+
+GUARDS = {
+    "compose": (lambda: compose((1, 2), (1, 2, 3)), "permutations act on different sets"),
+    "perm_hamming": (lambda: perm_hamming((1, 2, 3), (1, 2)),
+                     "permutations act on different sets"),
+    "spec n < 1": (lambda: ResidueSubgroupSpec.for_params(0, 2), "need n >= 1 and q >= 2"),
+    "spec q < 2": (lambda: ResidueSubgroupSpec.for_params(4, 1), "need n >= 1 and q >= 2"),
+    "empty gamma": (lambda: construct_permutation_code(reed_solomon(5, 4, 2), []),
+                    "gamma_prime must be nonempty"),
+    "lift pair count": (lambda: binary_lift((1, 0), 4, ((1, 2),)), "2 bits need 2 pairs, got 1"),
+    "lift entry range": (lambda: binary_lift((1,), 4, ((1, 5),)),
+                         "pair entries must lie in 1..4"),
+    "ball t > n": (lambda: hamming_ball_size(3, 4), "need 0 <= t <= n, got t=4, n=3"),
+    "ball t < 0": (lambda: hamming_ball_size(3, -1), "need 0 <= t <= n, got t=-1, n=3"),
+    "amds d < 1": (lambda: amds_lower(6, 0, 4, 1), "need d >= 1 and a2_value >= 1"),
+    "amds a2 < 1": (lambda: amds_lower(6, 3, 4, 0), "need d >= 1 and a2_value >= 1"),
+    "firstbound k = n": (lambda: general_firstbound(6, 3, 6, 1, ones_row=False),
+                         "need 0 < k < n, got k=6, n=6"),
+    "firstbound k = 0": (lambda: general_firstbound(6, 3, 0, 1, ones_row=False),
+                         "need 0 < k < n, got k=0, n=6"),
+    "firstbound gamma": (lambda: general_firstbound(6, 3, 2, 0, ones_row=False),
+                         "gamma_size must be positive"),
+    "envelope n < 3": (lambda: envelope_new_old(2, 2), "need n >= 3"),
+    "matrix no rows": (lambda: MatrixGF(field_make(3), []),
+                       "matrix needs at least one row and column"),
+    "matrix ragged": (lambda: MatrixGF(field_make(3), [[1, 0], [1]]), "ragged rows"),
+    "code field": (lambda: LinearCode(field_make(3), MatrixGF(field_make(5), [[1, 0, 1]])),
+                   "generator matrix belongs to a different field spec"),
+}
+
+
+@pytest.mark.parametrize("case", GUARDS)
+def test_input_guard_raises_its_message(case):
+    call, message = GUARDS[case]
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        call()
