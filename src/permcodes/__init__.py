@@ -17,9 +17,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "bounds": """AmdsBound BoundCell amds_lower amds_vs_old_threshold
         bound_report derangement_count envelope_new_old general_firstbound
-        gv_lower hamming_ball_size max_binary_code mds_lower mds_plus1_lower
-        old_prime_lower ratio_amds_old ratio_new_old singleton_like_upper
-        sphere_packing_upper""",
+        gv_lower hamming_ball_size mds_lower mds_plus1_lower old_prime_lower
+        ratio_amds_old ratio_new_old singleton_like_upper sphere_packing_upper""",
+    "combinat": "max_binary_code",
     "errors": "BudgetExceeded ParameterError ParseError PermcodesError VerificationFailed",
     "gf": "FieldSpec field_make is_prime is_prime_power next_prime next_prime_power",
     "linear": """LinearCode MatrixGF dual find_full_weight_dual_codeword in_dual

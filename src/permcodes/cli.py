@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import sys
-from pathlib import Path
 
 from .errors import ParameterError, PermcodesError, VerificationFailed
 
@@ -41,7 +40,8 @@ def format_sig6(fr) -> str:
 def _emit(lines: list[str], out: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if out:
-        Path(out).write_text(text)
+        with open(out, "w") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -170,7 +170,8 @@ def cmd_construct(args) -> int:
     if args.out:
         perms.write_permutation_code(pc, args.out, distance=cert.verified_distance)
     if args.cert:
-        Path(args.cert).write_text(cert.to_text())
+        with open(args.cert, "w") as fh:
+            fh.write(cert.to_text())
     if args.emit_code:
         linear.write_code_file(work, args.emit_code)
     print(
@@ -261,6 +262,8 @@ def cmd_compare(args) -> int:
     # amds-vs-old
     if args.q is None:
         raise _UsageError("--mode amds-vs-old needs --q")
+    from . import combinat
+
     alpha = _parse_fraction(args.alpha)
     b = _parse_fraction(args.b)
     try:
@@ -271,7 +274,7 @@ def cmd_compare(args) -> int:
     for q in _parse_int_list(args.q):
         try:
             n, d = bounds.amds_grid_point(q, alpha, b)
-            a2, _ = bounds.max_binary_code(n - q, d // 2)
+            a2, _ = combinat.max_binary_code(n - q, d // 2)
             _, _, ratio = bounds.ratio_amds_old(q, alpha, b, a2)
         except PermcodesError as exc:
             print(f"dropped q={q}: {exc}", file=sys.stderr)

@@ -14,7 +14,8 @@ come from a DP over positions that counts cosets per syndrome without
 building any; only the largest bucket's members are ever built.
 
 The exact code inside K and the involution lift take the clique search and
-A_2 from bounds.
+A_2 from combinat, and so do |K| and the floor: the construction is integer
+arithmetic throughout and loads no fraction.
 """
 
 from __future__ import annotations
@@ -24,13 +25,13 @@ import math
 import random
 from typing import NamedTuple
 
-from .bounds import (
+from .combinat import (
     MAX_CLIQUE_VERTICES,
     _distance_graph,
     _max_clique,
     _residue_subgroup_order,
-    general_firstbound,
     max_binary_code,
+    pigeonhole_floor,
 )
 from .errors import BudgetExceeded, ParameterError, VerificationFailed
 from .linear import (
@@ -538,7 +539,7 @@ def construct_permutation_code(
         raise VerificationFailed(
             f"bucket distance {verified} fell below the guaranteed {d}"
         )
-    _, floor = general_firstbound(n, q, k, len(members), ones_row=assume_ones_row)
+    floor = pigeonhole_floor(n, q, k, len(members), ones_row=assume_ones_row)
     pc = PermutationCode(n, bucket)
     cert = ConstructionCertificate(
         n=n,

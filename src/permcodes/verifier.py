@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from pathlib import Path
 
 from .errors import BudgetExceeded, ParameterError, ParseError
 
@@ -28,12 +27,15 @@ DEFAULT_VERIFY_BUDGET = 10**8
 def _write_records(path, header: str, rows) -> None:
     """The header line, then one line of space-separated entries per row."""
     lines = [header, *(" ".join(map(str, row)) for row in rows)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _file_records(path):
     """(line number, tokens) per line that is neither blank nor a # comment."""
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    with open(path) as fh:
+        text = fh.read()
+    for lineno, line in enumerate(text.splitlines(), start=1):
         toks = line.split()
         if toks and not toks[0].startswith("#"):
             yield lineno, toks

@@ -20,7 +20,7 @@ import random
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_mul, gf_rem, gf_strip
 
-from permcodes.bounds import _max_clique
+from permcodes.combinat import _max_clique
 from permcodes.errors import BudgetExceeded, ParameterError
 from permcodes.linear import (
     DEFAULT_DISTANCE_BUDGET,

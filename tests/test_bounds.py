@@ -27,7 +27,9 @@ from permcodes.bounds import (
     singleton_like_upper,
     sphere_packing_upper,
 )
+from permcodes.combinat import pigeonhole_floor
 from permcodes.errors import ParameterError
+from permcodes.gf import is_prime_power
 
 from oracles import oracle_perm_distance
 
@@ -185,6 +187,41 @@ def test_general_firstbound_fixture_floors():
     # without the ones row the reachable syndrome set grows by a factor q
     _, floor_a_plain = general_firstbound(6, 7, 4, 1, ones_row=False)
     assert floor_a_plain == 15  # ceil(720/49)
+
+
+def test_the_integer_floor_is_the_exact_bound_rounded_up():
+    # the construction rounds the floor by integer ceiling division, the
+    # bound tabulates it as a Fraction: one formula, the same integer
+    cases = 0
+    for n in range(2, 13):
+        for q in filter(is_prime_power, range(2, n + 2)):
+            for k, gamma_size, ones_row in itertools.product(
+                range(1, n), (1, 2, 3), (False, True)
+            ):
+                args = (n, q, k, gamma_size, ones_row)
+                assert pigeonhole_floor(*args) == general_firstbound(*args)[1], args
+                cases += 1
+    assert cases == 2718  # 453 (n, q, k) triples, six ways each
+
+
+FLOOR_REFUSALS = {
+    "k = n": ((6, 3, 6, 1), "need 0 < k < n, got k=6, n=6"),
+    "k > n": ((6, 3, 7, 1), "need 0 < k < n, got k=7, n=6"),
+    "k = 0": ((6, 3, 0, 1), "need 0 < k < n, got k=0, n=6"),
+    "k < 0": ((6, 3, -1, 1), "need 0 < k < n, got k=-1, n=6"),
+    "gamma 0": ((6, 3, 2, 0), "gamma_size must be positive"),
+    "gamma < 0": ((6, 3, 2, -2), "gamma_size must be positive"),
+}
+
+
+@pytest.mark.parametrize("ones_row", [False, True])
+@pytest.mark.parametrize("case", FLOOR_REFUSALS)
+def test_both_floors_refuse_with_one_message(case, ones_row):
+    args, message = FLOOR_REFUSALS[case]
+    for floor in (pigeonhole_floor, general_firstbound):
+        with pytest.raises(ParameterError) as refused:
+            floor(*args, ones_row)
+        assert str(refused.value) == message, floor.__name__
 
 
 def test_envelope_and_ratio_frozen():

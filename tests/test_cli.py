@@ -417,14 +417,14 @@ def test_clique_work_budget_drops_a_compare_row_and_ends_a_construct(tmp_path, c
                                                                      monkeypatch):
     # the clique searches color 11 candidates for A_2(4, 2) = 8, 483 for
     # A_2(8, 5) = 4, and 4 for the code inside K of the [6,2,4]_3 construct
-    monkeypatch.setattr("permcodes.bounds.MAX_CLIQUE_WORK", 11)
+    monkeypatch.setattr("permcodes.combinat.MAX_CLIQUE_WORK", 11)
     rc, out, err = run(capsys, "compare", "--mode", "amds-vs-old",
                        "--q", "4,8", "--alpha", "2", "--b", "5/8")
     assert (rc, err) == (0, "dropped q=8: clique search colors more than 11 candidates\n")
     assert out.splitlines()[1:] == ["4,8,5,8,2.59961,1331/512,1/2"]
     p = tmp_path / "code.txt"
     p.write_text("3 6 2\n1 0 2 1 2 1\n0 1 2 2 2 2\n")
-    monkeypatch.setattr("permcodes.bounds.MAX_CLIQUE_WORK", 3)
+    monkeypatch.setattr("permcodes.combinat.MAX_CLIQUE_WORK", 3)
     got = run(capsys, "construct", "--source", "file", "--code-file", str(p),
               "--d", "4", "--gamma", "exact", "--seed", "1")
     assert got == (4, "", "budget exceeded: clique search colors more than 3 candidates\n")
@@ -452,7 +452,7 @@ def test_compare_amds_drops_a_row_out_of_range_before_its_clique(capsys, monkeyp
     def no_clique(r, d):
         raise AssertionError(f"A_2({r}, {d}) computed for a dropped row")
 
-    monkeypatch.setattr("permcodes.bounds.max_binary_code", no_clique)
+    monkeypatch.setattr("permcodes.combinat.max_binary_code", no_clique)
     for q, b in (("8", "7/8"), ("4", "3/4")):
         rc, out, err = run(capsys, "compare", "--mode", "amds-vs-old",
                            "--q", q, "--alpha", "4", "--b", b)

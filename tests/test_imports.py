@@ -10,6 +10,8 @@ refactor leaves behind fails here.  A nested function that calls itself
 holds its own cell, a reference cycle that keeps everything it closes over
 alive until the cyclic collector runs, so the function around it must
 ``del`` it in a ``finally``.
+The modules a construction loads are integer arithmetic: none of them
+imports ``bounds``, ``fractions`` or ``decimal`` when it loads.
 ``import permcodes`` loads no submodule, each CLI command
 loads only the modules it runs, and a usage error loads none of them.  The
 construction's steps run only inside ``perms.construct``: ``cli`` calls none.
@@ -211,8 +213,51 @@ def test_package_frees_every_recursive_closure():
         f"{path.name}: {name}": freed
         for path in MODULES for name, freed in _recursive_closures(path.read_text()).items()
     }
-    assert {"bounds.py: _max_clique.expand", "linear.py: _lightest.extend"} <= found.keys()
+    assert {"combinat.py: _max_clique.expand", "linear.py: _lightest.extend"} <= found.keys()
     assert [name for name, freed in found.items() if not freed] == []
+
+
+# the modules a construction or a file check loads: integer arithmetic only,
+# so none of them imports the rational bounds when it loads
+INTEGER_MODULES = ["combinat", "gf", "linear", "mds", "perms", "verifier"]
+RATIONAL = {"bounds", "fractions", "decimal"}
+
+
+def _load_time_imports(source: str) -> set[str]:
+    """Each dotted part of every module that source imports outside a
+    function body, that is, when it loads ("from . import x" names x)."""
+    found = set()
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            names = []
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module] if child.module else [a.name for a in child.names]
+            found.update(part for name in names for part in name.split("."))
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_the_check_sees_a_rational_import_at_load_time():
+    source = (
+        "import math\nfrom .errors import ParameterError\nfrom . import bounds\n"
+        "if True:\n    import fractions as f\n\n\n"
+        "class A:\n    from decimal import Decimal\n\n\n"
+        "def late():\n    from .bounds import gv_lower\n    import random\n"
+    )
+    assert _load_time_imports(source) == {"math", "errors", "bounds", "fractions", "decimal"}
+    assert _load_time_imports("from permcodes.bounds import gv_lower\n") & RATIONAL == {"bounds"}
+
+
+@pytest.mark.parametrize("module", INTEGER_MODULES)
+def test_integer_module_loads_no_rational_arithmetic(module):
+    assert _load_time_imports((PACKAGE / f"{module}.py").read_text()) & RATIONAL == set()
 
 
 # ---------------------------------------------------------------------------
@@ -267,22 +312,25 @@ PLANS = {
     "compare new-vs-old": ("compare --mode new-vs-old --n 10 --d 6", {"errors", "gf", "bounds"}),
     # A_2(4, 2) = 8 takes the clique search
     "compare amds-vs-old": ("compare --mode amds-vs-old --q 4 --alpha 2 --b 5/8",
-                            {"errors", "gf", "bounds"}),
+                            {"errors", "gf", "bounds", "combinat"}),
     "construct": ("construct --source rs --q 5 --n 5 --k 3 --d 3 --gamma identity --seed 1",
-                  {"errors", "gf", "bounds", "linear", "mds", "perms", "verifier"}),
+                  {"errors", "gf", "combinat", "linear", "mds", "perms", "verifier"}),
     "verify": ("verify pc.txt --d 3", {"errors", "verifier"}),
 }
 
-# subcommand -> standard modules it must not load: a file check parses no
-# fraction, and only a seeded search draws a random number (the clique search
-# seeds itself by a first-fit pass).  The command runs under python -S, so no
-# site .pth file imports any of them first.
+# subcommand -> standard modules it must not load: a construction and a file
+# check are integer arithmetic and load no fraction, and only a seeded search
+# draws a random number (the clique search seeds itself by a first-fit pass).
+# No command loads pathlib: files are read and written with open().  The
+# command runs under python -S, so no site .pth file imports any of them first.
 UNLOADED = {
     "table": {"random"},
     "compare new-vs-old": {"random"},
     "compare amds-vs-old": {"random"},
+    "construct": {"fractions", "decimal", "numbers"},
     "verify": {"fractions", "decimal", "random"},
 }
+UNLOADED_BY_ALL = {"pathlib"}
 
 # runs the CLI as python -m would, and records sys.modules, in load order,
 # when the interpreter exits; python -S skips site start-up, sitecustomize
@@ -310,7 +358,7 @@ def test_cli_command_loads_only_its_modules(tmp_path, command):
     loaded = record.read_text().split("\n")
     ours = [m for m in loaded if m.startswith("permcodes.")]
     assert {m.removeprefix("permcodes.") for m in ours} == modules
-    assert not UNLOADED.get(command, set()) & set(loaded)
+    assert not (UNLOADED.get(command, set()) | UNLOADED_BY_ALL) & set(loaded)
 
 
 # argv -> its stderr: argparse rejects --d x before any command runs, and

@@ -22,16 +22,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permcodes.bounds import (
-    MAX_CLIQUE_VERTICES,
-    _binary_clique,
-    _distance_graph,
-    _max_clique,
     amds_lower,
     envelope_new_old,
     general_firstbound,
     hamming_ball_size,
-    max_binary_code,
     singleton_like_upper,
+)
+from permcodes.combinat import (
+    MAX_CLIQUE_VERTICES,
+    _binary_clique,
+    _distance_graph,
+    _max_clique,
+    max_binary_code,
 )
 from permcodes.errors import BudgetExceeded, ParameterError, ParseError, VerificationFailed
 from permcodes.gf import field_make, is_prime_power
@@ -703,7 +705,7 @@ def test_three_word_closed_form_beyond_the_vertex_budget():
 def test_three_word_boundary_goes_through_the_clique(monkeypatch):
     # 3t = 2r admits three words: A_2(3, 2) = 4 is {000, 011, 101, 110}
     calls = []
-    monkeypatch.setattr("permcodes.bounds._max_clique",
+    monkeypatch.setattr("permcodes.combinat._max_clique",
                         lambda neigh: calls.append(neigh) or _max_clique(neigh))
     size, witness = max_binary_code(3, 2)
     assert size == 4 and len(calls) == 1
@@ -825,16 +827,16 @@ def test_clique_work_budget(monkeypatch):
     work = 468
     words = [w for w in itertools.product((0, 1), repeat=6) if sum(w) >= 3]
     neigh = _distance_graph(words, 3)
-    monkeypatch.setattr("permcodes.bounds.MAX_CLIQUE_WORK", work)
+    monkeypatch.setattr("permcodes.combinat.MAX_CLIQUE_WORK", work)
     assert len(_max_clique(neigh)) == 7
-    monkeypatch.setattr("permcodes.bounds.MAX_CLIQUE_WORK", work - 1)
+    monkeypatch.setattr("permcodes.combinat.MAX_CLIQUE_WORK", work - 1)
     with pytest.raises(BudgetExceeded,
                        match=rf"^clique search colors more than {work - 1} candidates$"):
         _max_clique(neigh)
     with pytest.raises(BudgetExceeded):
         max_binary_code(6, 3)
     # the empty graph colors nothing, so no budget stops it
-    monkeypatch.setattr("permcodes.bounds.MAX_CLIQUE_WORK", 0)
+    monkeypatch.setattr("permcodes.combinat.MAX_CLIQUE_WORK", 0)
     assert _max_clique([]) == []
 
 
@@ -848,7 +850,7 @@ def test_clique_search_leaves_no_cycle(monkeypatch):
         before = sys.getrefcount(neigh)
         assert len(_max_clique(neigh)) == 7
         assert sys.getrefcount(neigh) == before
-        monkeypatch.setattr("permcodes.bounds.MAX_CLIQUE_WORK", 1)
+        monkeypatch.setattr("permcodes.combinat.MAX_CLIQUE_WORK", 1)
         with pytest.raises(BudgetExceeded):
             _max_clique(neigh)
         assert sys.getrefcount(neigh) == before
