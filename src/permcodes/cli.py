@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
+from pathlib import Path
 
 from .errors import ParameterError, PermcodesError, VerificationFailed
 
@@ -40,8 +41,7 @@ def format_sig6(fr) -> str:
 def _emit(lines: list[str], out: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        Path(out).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -170,8 +170,7 @@ def cmd_construct(args) -> int:
     if args.out:
         perms.write_permutation_code(pc, args.out, distance=cert.verified_distance)
     if args.cert:
-        with open(args.cert, "w") as fh:
-            fh.write(cert.to_text())
+        Path(args.cert).write_text(cert.to_text())
     if args.emit_code:
         linear.write_code_file(work, args.emit_code)
     print(

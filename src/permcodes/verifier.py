@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from pathlib import Path
 
 from .errors import BudgetExceeded, ParameterError, ParseError
 
@@ -27,15 +28,12 @@ DEFAULT_VERIFY_BUDGET = 10**8
 def _write_records(path, header: str, rows) -> None:
     """The header line, then one line of space-separated entries per row."""
     lines = [header, *(" ".join(map(str, row)) for row in rows)]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _file_records(path):
     """(line number, tokens) per line that is neither blank nor a # comment."""
-    with open(path) as fh:
-        text = fh.read()
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         toks = line.split()
         if toks and not toks[0].startswith("#"):
             yield lineno, toks

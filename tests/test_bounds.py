@@ -204,26 +204,6 @@ def test_the_integer_floor_is_the_exact_bound_rounded_up():
     assert cases == 2718  # 453 (n, q, k) triples, six ways each
 
 
-FLOOR_REFUSALS = {
-    "k = n": ((6, 3, 6, 1), "need 0 < k < n, got k=6, n=6"),
-    "k > n": ((6, 3, 7, 1), "need 0 < k < n, got k=7, n=6"),
-    "k = 0": ((6, 3, 0, 1), "need 0 < k < n, got k=0, n=6"),
-    "k < 0": ((6, 3, -1, 1), "need 0 < k < n, got k=-1, n=6"),
-    "gamma 0": ((6, 3, 2, 0), "gamma_size must be positive"),
-    "gamma < 0": ((6, 3, 2, -2), "gamma_size must be positive"),
-}
-
-
-@pytest.mark.parametrize("ones_row", [False, True])
-@pytest.mark.parametrize("case", FLOOR_REFUSALS)
-def test_both_floors_refuse_with_one_message(case, ones_row):
-    args, message = FLOOR_REFUSALS[case]
-    for floor in (pigeonhole_floor, general_firstbound):
-        with pytest.raises(ParameterError) as refused:
-            floor(*args, ones_row)
-        assert str(refused.value) == message, floor.__name__
-
-
 def test_envelope_and_ratio_frozen():
     ratio, envelope = ratio_new_old(10, 6)
     assert ratio == Fraction(14641, 13122)

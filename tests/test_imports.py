@@ -321,8 +321,8 @@ PLANS = {
 # subcommand -> standard modules it must not load: a construction and a file
 # check are integer arithmetic and load no fraction, and only a seeded search
 # draws a random number (the clique search seeds itself by a first-fit pass).
-# No command loads pathlib: files are read and written with open().  The
-# command runs under python -S, so no site .pth file imports any of them first.
+# The command runs under python -S, so no site .pth file imports any of them
+# first.
 UNLOADED = {
     "table": {"random"},
     "compare new-vs-old": {"random"},
@@ -330,7 +330,6 @@ UNLOADED = {
     "construct": {"fractions", "decimal", "numbers"},
     "verify": {"fractions", "decimal", "random"},
 }
-UNLOADED_BY_ALL = {"pathlib"}
 
 # runs the CLI as python -m would, and records sys.modules, in load order,
 # when the interpreter exits; python -S skips site start-up, sitecustomize
@@ -358,7 +357,7 @@ def test_cli_command_loads_only_its_modules(tmp_path, command):
     loaded = record.read_text().split("\n")
     ours = [m for m in loaded if m.startswith("permcodes.")]
     assert {m.removeprefix("permcodes.") for m in ours} == modules
-    assert not (UNLOADED.get(command, set()) | UNLOADED_BY_ALL) & set(loaded)
+    assert not UNLOADED.get(command, set()) & set(loaded)
 
 
 # argv -> its stderr: argparse rejects --d x before any command runs, and

@@ -34,6 +34,7 @@ from permcodes.combinat import (
     _distance_graph,
     _max_clique,
     max_binary_code,
+    pigeonhole_floor,
 )
 from permcodes.errors import BudgetExceeded, ParameterError, ParseError, VerificationFailed
 from permcodes.gf import field_make, is_prime_power
@@ -1129,6 +1130,14 @@ GUARDS = {
                          "need 0 < k < n, got k=0, n=6"),
     "firstbound gamma": (lambda: general_firstbound(6, 3, 2, 0, ones_row=False),
                          "gamma_size must be positive"),
+    # the construction's integer floor shares the bound's checks
+    "floor k = n": (lambda: pigeonhole_floor(6, 3, 6, 1, True), "need 0 < k < n, got k=6, n=6"),
+    "floor k > n": (lambda: pigeonhole_floor(6, 3, 7, 1, True), "need 0 < k < n, got k=7, n=6"),
+    "floor k < 0": (lambda: pigeonhole_floor(6, 3, -1, 1, True),
+                    "need 0 < k < n, got k=-1, n=6"),
+    "floor gamma": (lambda: pigeonhole_floor(6, 3, 2, 0, True), "gamma_size must be positive"),
+    "floor gamma < 0": (lambda: pigeonhole_floor(6, 3, 2, -2, True),
+                        "gamma_size must be positive"),
     "envelope n < 3": (lambda: envelope_new_old(2, 2), "need n >= 3"),
     "matrix no rows": (lambda: MatrixGF(field_make(3), []),
                        "matrix needs at least one row and column"),
