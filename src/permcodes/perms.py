@@ -203,9 +203,10 @@ class SyndromeTable:
       its labels left) times DENSE_FACTOR reaches Q, so a state whose
       sparse table would be nearly full; a sparse table that a dense state
       reads is converted once;
-    * the shift v -> v + label * column_i is cached per (position, label),
-      for the indices the DP reaches only, and its rotation masks are built
-      on first use;
+    * the packed label * column_i is the one cache per (position, label),
+      for the indices the DP reaches only: a sparse move adds it to each
+      syndrome with _add_index, and its rotation masks are built on first
+      use;
     * each move is recorded once, by the DP: the value it places, the state
       after it and the packed -label * column_i, the shift that the listing
       adds to the syndrome still needed.
@@ -213,11 +214,13 @@ class SyndromeTable:
     A sparse state holds no more entries than it has label suffixes, and
     no suffix length has more of them than there are cosets.  A dense state
     holds Q fields, at most DENSE_FACTOR times its arrangement count, so the
-    tables hold at most DENSE_FACTOR * (1 + n * (n! / |K|)) entries and
-    fields however large q^w is, and none is dense when q^w exceeds
-    DENSE_FACTOR times the coset count.  With ones_row the first check row
-    is skipped: its value is the label sum, the same for every permutation,
-    and it is prepended to every key of ``counts``.
+    tables hold at most max(DENSE_FACTOR, 1) * (1 + n * (n! / |K|)) entries
+    and fields however large q^w is, and none is dense when q^w exceeds
+    DENSE_FACTOR times the coset count.  The bound covers all the
+    per-syndrome state the DP holds but the dense forms (and field offsets)
+    of the sparse tables that dense states read.  With ones_row the first
+    check row is skipped: its value is the label sum, the same for every
+    permutation, and it is prepended to every key of ``counts``.
     """
 
     def __init__(self, check: MatrixGF, ones_row: bool) -> None:
@@ -244,7 +247,7 @@ class SyndromeTable:
         for v in range(1, n + 1):
             label_sum = add[label_sum][v % q]
         self._prefix = (label_sum,) if ones_row else ()
-        self._shifts: dict[tuple[int, int], tuple[dict[int, int], int]] = {}
+        self._shifts: dict[tuple[int, int], int] = {}
 
         kspec = ResidueSubgroupSpec.for_params(n, q)
         # (label, class values ascending, radix) per nonempty residue class
@@ -269,9 +272,6 @@ class SyndromeTable:
         arrangements: list[int] = []  # per state: the arrangements of its labels left
         converted: dict[int, int] = {}  # dense forms of sparse tables read by dense states
         add_index = self._add_index
-        # one int object per distinct index: the tables hold up to n times
-        # the coset count entries, but far fewer distinct syndromes
-        canon: dict[int, int] = {}
         for state in range(radix):
             moves, left, count = [], 0, 0
             for label, values, rad in classes:
@@ -283,7 +283,7 @@ class SyndromeTable:
             moves.sort()
             i = n - left
             self._moves.append(
-                [(value, after, self._shift(i, neg[label])[1]) for value, after, label in moves]
+                [(value, after, self._shift(i, neg[label])) for value, after, label in moves]
             )
             count = count or 1  # the empty multiset has one arrangement
             arrangements.append(count)
@@ -295,18 +295,15 @@ class SyndromeTable:
                         if after not in converted:
                             converted[after] = self._to_dense(child)
                         child = converted[after]
-                    dense += self._translate(child, self._shift(i, label)[1])
+                    dense += self._translate(child, self._shift(i, label))
                 self.tables.append(dense)
                 continue
             out: dict[int, int] = {} if state else {0: 1}
             get = out.get
             for _, after, label in moves:
-                shift, w = self._shift(i, label)
+                w = self._shift(i, label)
                 for v, cnt in self.tables[after].items():
-                    u = shift.get(v)
-                    if u is None:
-                        u = add_index(v, w)
-                        u = shift[v] = canon.setdefault(u, u)
+                    u = add_index(v, w)
                     out[u] = get(u, 0) + cnt
             self.tables.append(out)
         last = self.tables[-1]
@@ -323,13 +320,13 @@ class SyndromeTable:
                 if cnt
             }
 
-    def _shift(self, i: int, a: int) -> tuple[dict[int, int], int]:
-        """The cached map v -> v + a * column_i and the index of a * column_i."""
+    def _shift(self, i: int, a: int) -> int:
+        """The packed a * column_i, cached per (i, a)."""
         key = (i, a)
         got = self._shifts.get(key)
         if got is None:
             mul = self._mul[a]
-            got = self._shifts[key] = ({}, self._pack(mul[h] for h in self._columns[i]))
+            got = self._shifts[key] = self._pack(mul[h] for h in self._columns[i])
         return got
 
     def _pack(self, vector) -> int:

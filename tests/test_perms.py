@@ -434,16 +434,25 @@ def shape_code(n, q, ones_row):
     return systematic_code(q, a_block, ones_in_dual=True)
 
 
-def _check_against_the_lex_walk():
+def table_size(table):
+    """The entries of a SyndromeTable's sparse tables plus the q^w fields of
+    its dense ones."""
+    fields = table._fields
+    return sum(len(t) if type(t) is dict else fields for t in table.tables)
+
+
+def _check_against_the_lex_walk(factor=DENSE_FACTOR):
     """Per syndrome, the DP's coset count and the DFS's representatives
     equal the buckets of a lex walk of S_n, for every shape n <= 8,
-    q <= n + 1; returns every table built."""
+    q <= n + 1, and the tables stay within the docstring's bound at
+    DENSE_FACTOR = factor; returns every table built."""
     built = []
     for n, q in itertools.product(range(2, 9), range(2, 10)):
         if q > n + 1 or not is_prime_power(q):
             continue
         walk = oracle_coset_representatives(n, q)
         assert len(walk) == math.factorial(n) // ResidueSubgroupSpec.for_params(n, q).order
+        bound = max(factor, 1) * (1 + n * len(walk))
         for ones_row in (False, True):
             code = shape_code(n, q, ones_row)
             counts, table = syndrome_buckets(code, ones_row)
@@ -456,6 +465,8 @@ def _check_against_the_lex_walk():
             if ones_row:
                 assert table.check.rows[0] == (1,) * n
                 assert {syn[0] for syn in counts} == {oracle_label_sum(n, code.spec)}
+            if factor < math.inf:
+                assert table_size(table) <= bound, (n, q, ones_row)
             built.extend(table.tables)
     return built
 
@@ -470,7 +481,7 @@ def test_coset_representatives_match_the_lex_walk():
 def test_lex_walk_holds_in_either_table_form(monkeypatch, factor, form):
     # the threshold forced so that every state is sparse, or every one dense
     monkeypatch.setattr("permcodes.perms.DENSE_FACTOR", factor)
-    assert {type(t) for t in _check_against_the_lex_walk()} == {form}
+    assert {type(t) for t in _check_against_the_lex_walk(factor)} == {form}
 
 
 @pytest.mark.parametrize("q", [3, 4])
@@ -526,18 +537,10 @@ def test_listing_representatives_leaves_no_cycle():
         gc.enable()
 
 
-@pytest.mark.parametrize(
-    "make,ones_row",
-    [
-        # r = 6: q^r = 117,649 syndromes against 7! = 5,040 cosets
-        (lambda: reed_solomon(7, 7, 1), False),
-        # r = 0 after the ones row: one syndrome, every coset in it
-        (lambda: reed_solomon(5, 5, 4), True),
-    ],
-    ids=["low-rate", "r0"],
-)
-def test_syndrome_table_stays_sparse(make, ones_row):
-    code = make()
+def _check_largest_bucket(code, ones_row):
+    """The construction's bucket is the oracle's largest, and the DP's
+    tables hold at most one entry or field per label suffix; returns the
+    table, its number of fields Q and the coset count."""
     n, q = code.n, code.spec.q
     gamma = [identity_perm(n)]
     pc, cert = construct_permutation_code(code, gamma, assume_ones_row=ones_row)
@@ -549,10 +552,36 @@ def test_syndrome_table_stays_sparse(make, ones_row):
     # q^w fields, built only where they are at most DENSE_FACTOR times its
     # suffixes
     _, table = syndrome_buckets(code, ones_row)
-    fields = q ** (check.nrows - ones_row)
-    assert sum(len(t) if type(t) is dict else fields for t in table.tables) <= n * cert.coset_count
-    if fields > DENSE_FACTOR * cert.coset_count:  # low-rate: 7^6 > 16 * 5,040
-        assert all(type(t) is dict for t in table.tables)
+    assert table_size(table) <= n * cert.coset_count
+    return table, q ** (check.nrows - ones_row), cert.coset_count
+
+
+def test_low_rate_syndrome_table_stays_sparse():
+    # r = 6: q^r = 117,649 syndromes against 7! = 5,040 cosets
+    table, fields, cosets = _check_largest_bucket(reed_solomon(7, 7, 1), False)
+    assert fields > DENSE_FACTOR * cosets
+    assert all(type(t) is dict for t in table.tables)
+
+
+def test_r0_syndrome_table_is_dense_with_one_field():
+    # r = 0 after the ones row: one syndrome, every coset in it, so every
+    # state's table is one field holding its arrangement count
+    table, fields, _ = _check_largest_bucket(reed_solomon(5, 5, 4), True)
+    assert fields == table._fields == 1
+    assert all(type(t) is int for t in table.tables)
+
+
+def test_syndrome_buckets_memory_on_the_low_rate_shape():
+    # [7,1]_7 without the ones row: 7^6 syndromes, so every table is a
+    # sparse dict, and these dicts are all the per-syndrome memory it holds
+    tracemalloc.start()
+    try:
+        counts, table = syndrome_buckets(reed_solomon(7, 7, 1), False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(counts.values()) == math.factorial(7)
+    assert peak < 1_200_000, peak
 
 
 def test_syndrome_buckets_memory_on_the_construct_sweep_shape():
